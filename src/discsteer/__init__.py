@@ -11,7 +11,7 @@ from .bessel import (QuadratureRule, ZeroTable, bessel_j, bessel_j_derivative,
 from .control import (RadiusTrajectory, SteeringProblem, control_from_radius,
                       endpoint_map, integrate_control, map_fixed_to_disc,
                       radius_from_control, steer_local, synthesize_linearized)
-from .dynamics import (ControlSignal, GalerkinSystem, free_evolution,
+from .dynamics import (ControlSignal, ExpSum, GalerkinSystem, free_evolution,
                        simulate_bilinear, simulate_linearized)
 from .errors import (AdmissibilityError, ConditioningError, ConvergenceError,
                      DiscSteerError, DomainError)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (ControlSignal, GalerkinSystem, free_evolution,
+from .dynamics import (ControlSignal, ExpSum, GalerkinSystem, free_evolution,
                        simulate_bilinear)
 from .errors import AdmissibilityError, DomainError, ConvergenceError
 from .moment import (FrequencySet, build_frequencies, build_rhs, gamma_tilde,
@@ -33,7 +33,11 @@ class SteeringProblem:
 
 @dataclass(frozen=True)
 class RadiusTrajectory:
-    """Physical radius R(tau) on a uniform tau grid [0, T*]."""
+    """Physical radius R(tau) on a tau grid [0, T*].
+
+    The grid is uniform except for its last interval, which is 1 to 1.5
+    steps long.
+    """
 
     taus: np.ndarray
     radii: np.ndarray
@@ -76,11 +80,15 @@ def integrate_control(w: ControlSignal) -> ControlSignal:
     """Antiderivative v(t) = int_0^t w, carrying w as the exact derivative.
 
     Requires both vanishing moments of w (int w = 0 and int t w = 0), which
-    make v vanish at both endpoints and have zero mean.
+    make v vanish at both endpoints and have zero mean. For an exponential
+    sum w the moments and v are exact closed forms; another exact evaluator
+    is integrated by panel quadrature, and a sampled w by the trapezoid rule.
     """
+    closed = isinstance(w.fn, ExpSum)
     grid = w.grid
-    vals = np.atleast_1d(w(grid))
-    if w.fn is not None:
+    if closed:
+        total, t_moment = w.fn.integral(w.T), w.fn.t_moment(w.T)
+    elif w.fn is not None:
         # panel quadrature: the sample grid cannot resolve oscillatory w
         x, wq = np.polynomial.legendre.leggauss(16)
         edges = np.linspace(0.0, w.T, 4097)
@@ -91,6 +99,7 @@ def integrate_control(w: ControlSignal) -> ControlSignal:
         total = float(np.sum(weights * w_nodes))
         t_moment = float(np.sum(weights * nodes * w_nodes))
     else:
+        vals = np.atleast_1d(w(grid))
         total = float(np.trapezoid(vals, grid))
         t_moment = float(np.trapezoid(grid * vals, grid))
     scale = max(w.max_abs(), 1e-300)
@@ -99,6 +108,9 @@ def integrate_control(w: ControlSignal) -> ControlSignal:
         raise AdmissibilityError(
             f"w violates the vanishing-moment constraints (int w = {total:.3e}, "
             f"int t w = {t_moment:.3e})")
+    if closed:
+        return ControlSignal.from_function(w.fn.antiderivative(), w.T,
+                                           n_samples=w.samples.size, dfn=w.fn)
     if w.fn is not None:
         fn = _cumulative_quadrature(w.fn, w.T)
         samples = fn(grid)
@@ -241,7 +253,8 @@ def radius_from_control(u: ControlSignal, T: float | None = None,
     """Reconstruct the physical radius trajectory R(tau) from u.
 
     Integrates g'(tau) = 4 exp(-2 int_0^{g} u) by RK4 with fixed step until
-    g reaches T (event located by bisection on the final step), then sets
+    g reaches T (event located by bisection on the final step, which absorbs
+    the step before it when it is shorter than half a step), then sets
     R(tau) = exp(int_0^{g(tau)} u).
     """
     if T is None:
@@ -302,6 +315,10 @@ def radius_from_control(u: ControlSignal, T: float | None = None,
         if tau > horizon:
             raise ConvergenceError("radius ODE failed to reach the horizon "
                                    "(internal error)")
+    if len(taus) > 2 and taus[-1] - taus[-2] < 0.5 * dt:
+        # a sliver of a final step would make control_from_radius
+        # differentiate across it; let the last interval span 1 to 1.5 steps
+        del taus[-2], gs[-2]
     taus = np.array(taus)
     gs = np.array(gs)
     radii = np.exp(u_prefix(gs))

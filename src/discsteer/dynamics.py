@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .bessel import QuadratureRule, ZeroTable, gauss_legendre_rule
 from .errors import AdmissibilityError, DomainError
@@ -20,13 +21,120 @@ from .spectral import RadialState, TargetParams, coupling_matrix
 H10_MEAN_TOL = 1e-10
 
 
+def _int_exp(alpha, T):
+    """int_0^T exp(i alpha t) dt, elementwise."""
+    alpha = np.asarray(alpha, dtype=float)
+    out = np.empty(alpha.shape, dtype=complex)
+    small = alpha == 0.0
+    out[small] = T
+    a = alpha[~small]
+    out[~small] = (np.exp(1j * a * T) - 1.0) / (1j * a)
+    return out
+
+
+def _int_t_exp(alpha, T):
+    """int_0^T t exp(i alpha t) dt, elementwise."""
+    alpha = np.asarray(alpha, dtype=float)
+    out = np.empty(alpha.shape, dtype=complex)
+    small = alpha == 0.0
+    out[small] = T ** 2 / 2.0
+    a = alpha[~small]
+    e = np.exp(1j * a * T)
+    out[~small] = T * e / (1j * a) - (e - 1.0) / (1j * a) ** 2
+    return out
+
+
+@dataclass(frozen=True)
+class ExpSum:
+    """Real function f(t) = Re sum_j a_j exp(-i omega_j t) + sum_m p_m t^m.
+
+    The closed form of every control the moment solver builds. The
+    antiderivative, the derivative, the integral and t-moment over [0, T],
+    sums and scalar multiples are exact up to rounding; evaluation costs
+    O(len(omegas) + len(poly)) per point.
+    """
+
+    omegas: np.ndarray   # real frequencies
+    amps: np.ndarray     # complex amplitudes a_j, aligned with omegas
+    poly: np.ndarray     # real polynomial coefficients p_m, ascending powers
+
+    def __post_init__(self):
+        object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
+        object.__setattr__(self, "amps", np.asarray(self.amps, dtype=complex))
+        object.__setattr__(self, "poly", np.atleast_1d(np.asarray(self.poly,
+                                                                  dtype=float)))
+        if self.omegas.ndim != 1 or self.amps.shape != self.omegas.shape \
+                or self.poly.ndim != 1:
+            raise DomainError("an exponential sum needs 1-D frequencies, "
+                              "amplitudes of the same shape and 1-D polynomial "
+                              "coefficients")
+
+    @classmethod
+    def zero(cls) -> "ExpSum":
+        return cls(np.zeros(0), np.zeros(0, dtype=complex), np.zeros(1))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        phases = np.exp(-1j * np.multiply.outer(t, self.omegas))
+        return np.real(phases @ self.amps) + P.polyval(t, self.poly)
+
+    def derivative(self) -> "ExpSum":
+        return ExpSum(self.omegas, -1j * self.omegas * self.amps,
+                      P.polyder(self.poly))
+
+    def antiderivative(self) -> "ExpSum":
+        """int_0^t f: zero frequencies move into the polynomial, and the
+        constant term makes the value at t = 0 vanish."""
+        zero = self.omegas == 0.0
+        omegas = self.omegas[~zero]
+        amps = 1j * self.amps[~zero] / omegas  # 1 / (-i omega) = i / omega
+        poly = P.polyadd(P.polyint(self.poly),
+                         [-np.sum(amps.real), np.sum(self.amps[zero].real)])
+        return ExpSum(omegas, amps, poly)
+
+    def integral(self, T: float) -> float:
+        """int_0^T f."""
+        return float(np.real(self.amps @ _int_exp(-self.omegas, T))
+                     + P.polyval(T, P.polyint(self.poly)))
+
+    def t_moment(self, T: float) -> float:
+        """int_0^T t f(t) dt."""
+        return float(np.real(self.amps @ _int_t_exp(-self.omegas, T))
+                     + P.polyval(T, P.polyint(P.polymulx(self.poly))))
+
+    def __add__(self, other: "ExpSum") -> "ExpSum":
+        # terms at the same frequency merge, so repeated sums over one
+        # frequency set keep its size
+        omegas, where = np.unique(np.concatenate([self.omegas, other.omegas]),
+                                  return_inverse=True)
+        amps = np.zeros(omegas.size, dtype=complex)
+        np.add.at(amps, where, np.concatenate([self.amps, other.amps]))
+        return ExpSum(omegas, amps, P.polyadd(self.poly, other.poly))
+
+    def __mul__(self, scalar: float) -> "ExpSum":
+        return ExpSum(self.omegas, scalar * self.amps, scalar * self.poly)
+
+    __rmul__ = __mul__
+
+
 @dataclass(frozen=True)
 class ControlSignal:
-    """Real control sampled on a uniform grid over [0, T].
+    """Real control on [0, T], sampled on a uniform grid.
 
-    Evaluation between samples is piecewise-linear unless an exact evaluator
-    `fn` (and optionally its derivative `dfn`) is attached, in which case the
-    samples are a view of `fn` on the grid and `fn` is used everywhere.
+    How the signal is evaluated depends on `fn`:
+
+    - an `ExpSum` (the controls of `solve_moment` and `integrate_control`,
+      their sums and scalar multiples, and `zero`): evaluation, the
+      derivative, `integral`, `+` and scalar `*` act on the coefficients and
+      are exact up to rounding. `dfn` is an `ExpSum` too: the derivative of
+      `fn` by default, and `w` itself for `v = integrate_control(w)`.
+    - any other callable (`from_function`): `fn` is used everywhere, `dfn`
+      if given is the exact derivative (central differences of the samples
+      otherwise), and `integral` uses composite Gauss-Legendre panels.
+    - None (sampled controls, e.g. read from CSV): piecewise-linear
+      interpolation of the samples, central differences, trapezoid rule.
+
+    Whenever `fn` is attached, `samples` is `fn` on the grid.
     """
 
     samples: np.ndarray
@@ -40,6 +148,8 @@ class ControlSignal:
             raise DomainError("a control signal needs at least two samples")
         if self.T <= 0:
             raise DomainError("horizon T must be positive")
+        if isinstance(self.fn, ExpSum) and self.dfn is None:
+            object.__setattr__(self, "dfn", self.fn.derivative())
 
     @classmethod
     def from_function(cls, fn, T: float, n_samples: int = 2049,
@@ -49,13 +159,16 @@ class ControlSignal:
 
     @classmethod
     def zero(cls, T: float, n_samples: int = 2049) -> "ControlSignal":
-        return cls(samples=np.zeros(n_samples), T=T,
-                   fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                   dfn=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        return cls(samples=np.zeros(n_samples), T=T, fn=ExpSum.zero())
 
     @property
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.samples.size)
+
+    @property
+    def closed_form(self) -> bool:
+        """True when the signal and its derivative are exponential sums."""
+        return isinstance(self.fn, ExpSum) and isinstance(self.dfn, ExpSum)
 
     def __call__(self, t):
         if self.fn is not None:
@@ -73,12 +186,15 @@ class ControlSignal:
         return float(np.max(np.abs(self.samples)))
 
     def integral(self) -> float:
-        """Time average of the signal over [0, T].
+        """Integral of the signal over [0, T].
 
-        With an exact evaluator attached, composite Gauss-Legendre panels are
-        used so that highly oscillatory signals are resolved; the fixed sample
-        grid only supports trapezoid accuracy.
+        Closed form for an exponential sum. With another exact evaluator
+        attached, composite Gauss-Legendre panels are used so that highly
+        oscillatory signals are resolved; the fixed sample grid only supports
+        trapezoid accuracy.
         """
+        if isinstance(self.fn, ExpSum):
+            return self.fn.integral(self.T)
         if self.fn is not None:
             n_sub = max(64, 4 * (self.samples.size - 1))
             xg, wg = np.polynomial.legendre.leggauss(8)
@@ -101,6 +217,9 @@ class ControlSignal:
         if abs(self.T - other.T) > 1e-12 * max(self.T, other.T):
             raise DomainError("cannot add control signals with different horizons")
         n = max(self.samples.size, other.samples.size)
+        if self.closed_form and other.closed_form:
+            return ControlSignal.from_function(self.fn + other.fn, self.T, n,
+                                               dfn=self.dfn + other.dfn)
         grid = np.linspace(0.0, self.T, n)
         fn = dfn = None
         if self.fn is not None and other.fn is not None:
@@ -113,6 +232,9 @@ class ControlSignal:
                              fn=fn, dfn=dfn)
 
     def __mul__(self, scalar: float) -> "ControlSignal":
+        if self.closed_form:
+            return ControlSignal(samples=scalar * self.samples, T=self.T,
+                                 fn=scalar * self.fn, dfn=scalar * self.dfn)
         fn = dfn = None
         if self.fn is not None:
             f = self.fn
@@ -223,7 +345,9 @@ def simulate_linearized(v: ControlSignal, params: TargetParams,
     Zero initial data is assumed; a nonzero initial state is handled by the
     caller through free-evolution superposition. Each mode endpoint is the
     explicit oscillatory integral of the control derivative against the three
-    reference phases, evaluated by composite Gauss-Legendre quadrature.
+    reference phases, evaluated by composite Gauss-Legendre quadrature. The
+    quadrature only evaluates v' at nodes, also for an `ExpSum` control, so
+    it stays an independent check of the closed-form synthesis.
     """
     if not v.is_h10_admissible():
         raise AdmissibilityError("control is not H^1_0-admissible")

@@ -17,7 +17,8 @@ import numpy as np
 from scipy import linalg
 
 from .bessel import ZeroTable
-from .dynamics import ControlSignal, GalerkinSystem
+from .dynamics import (ControlSignal, ExpSum, GalerkinSystem, _int_exp,
+                       _int_t_exp)
 from .errors import AdmissibilityError, ConditioningError, DomainError
 from .spectral import RadialState, TargetParams
 
@@ -93,29 +94,6 @@ def upper_density(freqs: FrequencySet, r_values) -> np.ndarray:
         counts = np.searchsorted(ext, ext + r, side="right") - np.arange(ext.size)
         out.append(float(np.max(counts)) / r)
     return np.array(out)
-
-
-def _int_exp(alpha, T):
-    """int_0^T exp(i alpha t) dt, elementwise."""
-    alpha = np.asarray(alpha, dtype=float)
-    out = np.empty(alpha.shape, dtype=complex)
-    small = alpha == 0.0
-    out[small] = T
-    a = alpha[~small]
-    out[~small] = (np.exp(1j * a * T) - 1.0) / (1j * a)
-    return out
-
-
-def _int_t_exp(alpha, T):
-    """int_0^T t exp(i alpha t) dt, elementwise."""
-    alpha = np.asarray(alpha, dtype=float)
-    out = np.empty(alpha.shape, dtype=complex)
-    small = alpha == 0.0
-    out[small] = T ** 2 / 2.0
-    a = alpha[~small]
-    e = np.exp(1j * a * T)
-    out[~small] = T * e / (1j * a) - (e - 1.0) / (1j * a) ** 2
-    return out
 
 
 def _symmetric_extension(omegas: np.ndarray):
@@ -239,17 +217,8 @@ def solve_moment(problem: MomentProblem, n_samples: int = 2049,
     x_exp = 0.5 * (x_exp + np.conj(x_exp[mirror]))
     x_t = float(x[-1].real) if with_t else 0.0
 
-    def w_fn(t, _x=x_exp, _ext=ext, _xt=x_t):
-        t = np.asarray(t, dtype=float)
-        phases = np.exp(-1j * np.multiply.outer(t, _ext))
-        return np.real(phases @ _x) + _xt * t
-
-    def w_dfn(t, _x=x_exp, _ext=ext, _xt=x_t):
-        t = np.asarray(t, dtype=float)
-        phases = np.exp(-1j * np.multiply.outer(t, _ext))
-        return np.real(phases @ (-1j * _ext * _x)) + _xt
-
-    signal = ControlSignal.from_function(w_fn, T, n_samples=n_samples, dfn=w_dfn)
+    signal = ControlSignal.from_function(ExpSum(ext, x_exp, [0.0, x_t]), T,
+                                         n_samples=n_samples)
     coeffs = np.concatenate([x_exp, [x_t]])
     residuals = moment_residuals(signal, problem)
     diagnostics = {
@@ -263,7 +232,12 @@ def solve_moment(problem: MomentProblem, n_samples: int = 2049,
 
 
 def moment_residuals(signal: ControlSignal, problem: MomentProblem) -> np.ndarray:
-    """Residuals of all prescribed moments, by independent high-order quadrature."""
+    """Residuals of all prescribed moments, by independent high-order quadrature.
+
+    This is the oracle for `solve_moment`: it only evaluates the signal at
+    composite Gauss-Legendre nodes and never uses the closed-form integrals
+    of an `ExpSum`, so an error in that algebra cannot cancel against itself.
+    """
     from .dynamics import _oscillatory_nodes
 
     T = problem.T

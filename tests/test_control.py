@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from discsteer import (ControlSignal, GalerkinSystem, RadialState,
-                       RadiusTrajectory,
-                       SteeringProblem, control_from_radius, endpoint_map,
-                       free_evolution, integrate_control, map_fixed_to_disc,
-                       radius_from_control, simulate_linearized, steer_local,
+from discsteer import (ControlSignal, GalerkinSystem, MomentProblem,
+                       RadialState, RadiusTrajectory,
+                       SteeringProblem, build_frequencies, control_from_radius,
+                       endpoint_map, free_evolution, integrate_control,
+                       map_fixed_to_disc, radius_from_control,
+                       simulate_linearized, solve_moment, steer_local,
                        synthesize_linearized)
 from discsteer.control import _cumulative_quadrature
 from discsteer.errors import AdmissibilityError, DomainError
@@ -43,6 +44,21 @@ class TestIntegrateControl:
         assert np.max(np.abs(v(ts) - exact)) < 1e-12
         assert v.is_h10_admissible()
         assert np.max(np.abs(v.derivative(ts) - fn(ts))) < 1e-12
+
+    def test_closed_form_against_quadrature(self, table, rng):
+        freqs = build_frequencies(table, 9)
+        d = (rng.standard_normal(freqs.K) + 1j * rng.standard_normal(freqs.K)) \
+            / np.arange(1, freqs.K + 1)
+        d[freqs.omegas == 0.0] = 0.0  # both vanishing moments
+        w = solve_moment(MomentProblem(freqs=freqs, d=d, T=1.0,
+                                       d_tilde=0.0)).signal
+        v = integrate_control(w)
+        assert v.closed_form and not np.any(v.fn.omegas == 0.0)
+        ts = np.linspace(0, 1.0, 101)
+        oracle = _cumulative_quadrature(w.fn, 1.0)
+        assert np.max(np.abs(v(ts) - oracle(ts))) < 1e-12
+        assert np.all(v.derivative(ts) == w(ts))
+        assert v.is_h10_admissible()
 
     def test_rejects_nonzero_mean(self):
         w = ControlSignal.from_function(
@@ -172,6 +188,28 @@ class TestSteerLocal:
         assert report.residuals[0] == pytest.approx(delta, rel=1e-6)
         assert report.residuals[1] <= 10 * delta ** 2
 
+    @pytest.mark.filterwarnings("ignore:steps=")
+    def test_corrections_share_frequencies(self, table, sys40, params, rng):
+        T = 1.0
+        psi0 = RadialState(params.weights())
+        pert = tangent_target(params, T, sys40.lambdas, 40, 6, rng, norm=1e-3)
+        free = endpoint_map(ControlSignal.zero(T), RadialState(psi0.padded(40)),
+                            sys40, steps=2 ** 13)
+        prob = SteeringProblem(params=params, T=T, psi0=psi0,
+                               psif=RadialState(free.coeffs + pert.coeffs))
+        report = steer_local(prob, iterations=2, K=12, sys=sys40, table=table,
+                             steps=2 ** 13, tol=1e-12)
+        assert report.iterations == 2  # u = zero + two corrections
+        zero = RadialState(np.zeros(40, dtype=complex))
+        one = synthesize_linearized(
+            SteeringProblem(params=params, T=T, psi0=zero, psif=pert),
+            12, sys=sys40, table=table)
+        u = report.control
+        assert u.closed_form and u.fn.omegas.size == one.fn.omegas.size
+        ts = np.linspace(0, T, 101)
+        oracle = _cumulative_quadrature(u.dfn, T)
+        assert np.max(np.abs(u(ts) - oracle(ts))) < 1e-12
+
     def test_report_serialization(self, table, sys40, params, tmp_path):
         T = 1.0
         psi0 = RadialState(params.weights()).normalize()
@@ -209,6 +247,22 @@ class TestRadius:
         mask = (g_vals > 0.02) & (g_vals < 0.98)
         err = np.max(np.abs(u_vals[mask] - fn(g_vals[mask])))
         assert err < 1e-6
+
+    @pytest.mark.parametrize("seed", [[108, 1], [14, 0]])
+    def test_round_trip_short_final_step(self, seed):
+        # sampled controls whose bisected final RK4 step is under 1% of a
+        # step: the last samples must meet the bound of the interior too
+        grid = np.linspace(0.0, 1.0, 1025)
+        m = np.arange(1, 5)
+        phases = 2 * np.pi * np.random.default_rng(seed).random(4)
+        samples = (0.03 / m ** 2) @ np.sin(2 * np.pi * np.outer(m, grid)
+                                           + phases[:, None])
+        traj = radius_from_control(ControlSignal(samples=samples, T=1.0),
+                                   n_steps=8192)
+        assert traj.taus[-1] - traj.taus[-2] > 1.0 / 8192  # step absorbed
+        g_vals, u_vals = control_from_radius(traj)
+        err = np.abs(u_vals - np.interp(np.clip(g_vals, 0, 1), grid, samples))
+        assert np.max(err) < 1e-6
 
     def test_rejects_nonzero_mean(self):
         u = ControlSignal.from_function(lambda t: 0.1 + 0 * np.asarray(t), 1.0)

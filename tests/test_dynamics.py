@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from discsteer import (ControlSignal, GalerkinSystem, RadialState,
+from discsteer import (ControlSignal, ExpSum, GalerkinSystem, RadialState,
                        free_evolution, simulate_bilinear, simulate_linearized)
 from discsteer.errors import AdmissibilityError, DomainError
 
@@ -46,6 +46,98 @@ class TestControlSignal:
             ControlSignal(samples=[1.0], T=1.0)
         with pytest.raises(DomainError):
             ControlSignal(samples=[0.0, 0.0], T=-1.0)
+
+
+def panel_quadrature(fn, upper, n_sub=512, order=16):
+    """int_0^b fn for each b in `upper`, by composite Gauss-Legendre panels."""
+    x, wq = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(0.0, 1.0, n_sub + 1)
+    s = (edges[:-1, None] + 0.5 * (x[None, :] + 1.0) / n_sub).ravel()
+    ws = np.tile(0.5 * wq / n_sub, n_sub)
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    nodes = upper[:, None] * s[None, :]
+    vals = np.asarray(fn(nodes.ravel())).reshape(nodes.shape)
+    return upper * (vals @ ws)
+
+
+def random_expsum(rng, n=5, omega_max=300.0):
+    """Generic sum: +-omega pairs and zero, complex amplitudes, quadratic."""
+    pos = np.sort(rng.uniform(1.0, omega_max, n))
+    omegas = np.concatenate([-pos[::-1], [0.0], pos])
+    amps = rng.standard_normal(omegas.size) + 1j * rng.standard_normal(omegas.size)
+    return ExpSum(omegas, amps, rng.standard_normal(3))
+
+
+class TestExpSum:
+    """Closed forms against independent Gauss-panel quadrature."""
+
+    T = 1.3
+    ts = np.linspace(0.0, 1.3, 23)
+
+    def test_antiderivative(self, rng):
+        f = random_expsum(rng)
+        F = f.antiderivative()
+        assert not np.any(F.omegas == 0.0)  # moved into the polynomial
+        assert abs(F(0.0)) < 1e-14
+        assert np.max(np.abs(F(self.ts) - panel_quadrature(f, self.ts))) < 1e-12
+
+    def test_derivative(self, rng):
+        f = random_expsum(rng)
+        df = f.derivative()
+        # df is O(omega_max) larger than f
+        assert np.max(np.abs(panel_quadrature(df, self.ts)
+                             - (f(self.ts) - f(0.0)))) < 1e-10
+
+    def test_mean_and_t_moment(self, rng):
+        f = random_expsum(rng)
+        assert f.integral(self.T) == pytest.approx(
+            panel_quadrature(f, self.T)[0], abs=1e-12)
+        assert f.t_moment(self.T) == pytest.approx(
+            panel_quadrature(lambda t: t * f(t), self.T)[0], abs=1e-12)
+
+    def test_sum_and_scaling(self, rng):
+        f = random_expsum(rng)
+        g = random_expsum(rng)
+        g = ExpSum(np.concatenate([f.omegas[:3], g.omegas]),
+                   np.concatenate([g.amps[:3], g.amps]), g.poly[:2])
+        s = f + g
+        assert s.omegas.size == np.union1d(f.omegas, g.omegas).size
+        assert (f + f).omegas.size == f.omegas.size
+        assert np.max(np.abs(s(self.ts) - (f(self.ts) + g(self.ts)))) < 1e-12
+        assert s.integral(self.T) == pytest.approx(
+            panel_quadrature(s, self.T)[0], abs=1e-12)
+        h = -2.5 * f
+        assert np.max(np.abs(h(self.ts) + 2.5 * f(self.ts))) < 1e-12
+        assert h.t_moment(self.T) == pytest.approx(
+            panel_quadrature(lambda t: t * h(t), self.T)[0], abs=1e-11)
+
+    def test_zero(self, rng):
+        z = ExpSum.zero()
+        f = random_expsum(rng)
+        assert np.all(z(self.ts) == 0.0)
+        assert z.integral(self.T) == 0.0 and z.t_moment(self.T) == 0.0
+        assert np.all(z.antiderivative()(self.ts) == 0.0)
+        assert np.all((f + z)(self.ts) == f(self.ts))
+        u = ControlSignal.zero(self.T)
+        assert u.closed_form and u.integral() == 0.0
+        assert np.all(u.derivative(self.ts) == 0.0)
+
+    def test_control_signal_is_exact(self, rng):
+        f = random_expsum(rng)
+        u = ControlSignal.from_function(f, self.T)
+        assert u.closed_form
+        assert u.integral() == pytest.approx(panel_quadrature(f, self.T)[0],
+                                             abs=1e-12)
+        assert np.max(np.abs(panel_quadrature(u.derivative, self.ts)
+                             - (u(self.ts) - u(0.0)))) < 1e-10
+        s = u + 3.0 * u
+        assert s.closed_form and s.fn.omegas.size == f.omegas.size
+        assert np.max(np.abs(s(self.ts) - 4.0 * f(self.ts))) < 1e-12
+        assert np.max(np.abs(s.samples - 4.0 * u.samples)) < 1e-12
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            ExpSum(np.zeros(2), np.zeros(3, dtype=complex), [0.0])
 
 
 def test_free_evolution_phases(sys40):
