@@ -122,20 +122,11 @@ def _verify_checks(table: bessel.ZeroTable, cfg: dict) -> dict:
         worst = np.unravel_index(np.argmax(np.abs(off)), off.shape)
         report["orthogonality_worst_pair"] = [int(worst[0]) + 1, int(worst[1]) + 1]
 
-    # closed-form coupling against quadrature
+    # the program's closed-form coupling matrix against quadrature
     kk = min(table.k_max, cfg["coupling_modes"])
-    worst = 0.0
-    for k in range(2, kk + 1):
-        for l in range(1, k):
-            closed = spectral.coupling_closed_form(l, k, table)
-            zl, zk = table[(0, l)], table[(0, k)]
-            scale = 2.0 / (abs(bessel.bessel_j(1, zl)) * abs(bessel.bessel_j(1, zk)))
-
-            def f(r, _zl=zl, _zk=zk, _s=scale):
-                return _s * r ** 2 * bessel.bessel_j(0, _zl * r) * bessel.bessel_j(0, _zk * r)
-
-            quad = float(np.real(bessel.weighted_integral(f, rule)))
-            worst = max(worst, abs(closed - quad))
+    vals = np.array([spectral.mode(k, rule.nodes, table) for k in range(1, kk + 1)])
+    quad = (vals * rule.nodes ** 3 * rule.weights) @ vals.T
+    worst = float(np.max(np.abs(spectral.coupling_matrix(kk, table) - quad)))
     report["coupling_identity_residual_max"] = worst
     report["coupling_identity_ok"] = worst <= 1e-9
 

@@ -10,8 +10,7 @@ import numpy as np
 from .dynamics import (ControlSignal, ExpSum, GalerkinSystem, free_evolution,
                        simulate_bilinear)
 from .errors import AdmissibilityError, DomainError, ConvergenceError
-from .moment import (FrequencySet, build_frequencies, build_rhs, gamma_tilde,
-                     solve_moment)
+from .moment import build_frequencies, build_rhs, solve_moment
 from .spectral import RadialState, TargetParams
 
 CONSTRAINT_TOL = 1e-8
@@ -59,7 +58,11 @@ def synthesize_linearized(problem: SteeringProblem, K: int,
     """
     if sys is None:
         raise DomainError("a GalerkinSystem is required")
-    freqs = build_frequencies_from_sys(K, sys, table)
+    if table is None:
+        raise DomainError("a ZeroTable is required to build frequencies")
+    if K > sys.N:
+        raise DomainError("frequency coverage K cannot exceed the truncation N")
+    freqs = build_frequencies(table, K)
     target = RadialState(problem.psif.padded(sys.N)
                          - free_evolution(RadialState(problem.psi0.padded(sys.N)),
                                           problem.T, sys.lambdas).coeffs)
@@ -68,85 +71,32 @@ def synthesize_linearized(problem: SteeringProblem, K: int,
     return integrate_control(sol.signal)
 
 
-def build_frequencies_from_sys(K: int, sys: GalerkinSystem, table) -> FrequencySet:
-    if table is None:
-        raise DomainError("a ZeroTable is required to build frequencies")
-    if K > sys.N:
-        raise DomainError("frequency coverage K cannot exceed the truncation N")
-    return build_frequencies(table, K)
-
-
 def integrate_control(w: ControlSignal) -> ControlSignal:
-    """Antiderivative v(t) = int_0^t w, carrying w as the exact derivative.
+    """Antiderivative v(t) = int_0^t w of an exponential-sum control.
 
-    Requires both vanishing moments of w (int w = 0 and int t w = 0), which
-    make v vanish at both endpoints and have zero mean. For an exponential
-    sum w the moments and v are exact closed forms; another exact evaluator
-    is integrated by panel quadrature, and a sampled w by the trapezoid rule.
+    `w` must carry an `ExpSum` (as every `solve_moment` control does); a
+    sampled `w`, with or without a point evaluator, raises `DomainError`.
+    Both vanishing moments of w (int w = 0 and int t w = 0) are required;
+    they make v vanish at both endpoints and have zero mean. The moments and
+    v are exact closed forms, and v carries w as its exact derivative.
     """
-    closed = isinstance(w.fn, ExpSum)
-    grid = w.grid
-    if closed:
-        total, t_moment = w.fn.integral(w.T), w.fn.t_moment(w.T)
-    elif w.fn is not None:
-        # panel quadrature: the sample grid cannot resolve oscillatory w
-        x, wq = np.polynomial.legendre.leggauss(16)
-        edges = np.linspace(0.0, w.T, 4097)
-        h = edges[1] - edges[0]
-        nodes = (edges[:-1, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
-        weights = np.tile(0.5 * h * wq, 4096)
-        w_nodes = np.real(w.fn(nodes))
-        total = float(np.sum(weights * w_nodes))
-        t_moment = float(np.sum(weights * nodes * w_nodes))
-    else:
-        vals = np.atleast_1d(w(grid))
-        total = float(np.trapezoid(vals, grid))
-        t_moment = float(np.trapezoid(grid * vals, grid))
+    if not isinstance(w.fn, ExpSum):
+        raise DomainError("integrate_control needs an exponential-sum control")
+    total, t_moment = w.fn.integral(w.T), w.fn.t_moment(w.T)
     scale = max(w.max_abs(), 1e-300)
     if abs(total) > CONSTRAINT_TOL * max(1.0, scale * w.T) \
             or abs(t_moment) > CONSTRAINT_TOL * max(1.0, scale * w.T ** 2):
         raise AdmissibilityError(
             f"w violates the vanishing-moment constraints (int w = {total:.3e}, "
             f"int t w = {t_moment:.3e})")
-    if closed:
-        return ControlSignal.from_function(w.fn.antiderivative(), w.T,
-                                           n_samples=w.samples.size, dfn=w.fn)
-    if w.fn is not None:
-        fn = _cumulative_quadrature(w.fn, w.T)
-        samples = fn(grid)
-    else:
-        samples = _cumtrapz(vals, grid)
-        fn = None
-    return ControlSignal(samples=samples, T=w.T, fn=fn, dfn=w.fn or (lambda t: w(t)))
+    return ControlSignal.from_function(w.fn.antiderivative(), w.T,
+                                       n_samples=w.samples.size, dfn=w.fn)
 
 
 def _cumtrapz(vals, grid):
     out = np.zeros_like(vals)
     out[1:] = np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))
     return out
-
-
-def _cumulative_quadrature(fn, T, n_sub: int = 4096, order: int = 8):
-    """Exact-to-roundoff running integral of a smooth fn via panel quadrature."""
-    x, wq = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, T, n_sub + 1)
-    h = edges[1] - edges[0]
-    nodes = edges[:-1, None] + 0.5 * h * (x[None, :] + 1.0)
-    panel = np.real(fn(nodes.ravel())).reshape(n_sub, order) @ (0.5 * h * wq)
-    prefix = np.concatenate([[0.0], np.cumsum(panel)])
-
-    def v_fn(t):
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.clip((t / h).astype(int), 0, n_sub - 1)
-        lo = edges[idx]
-        span = t - lo
-        sub_nodes = lo[:, None] + 0.5 * span[:, None] * (x[None, :] + 1.0)
-        sub_vals = np.real(fn(sub_nodes.ravel())).reshape(t.size, order)
-        out = prefix[idx] + np.sum(sub_vals * (0.5 * span[:, None] * wq), axis=1)
-        return out[0] if scalar else out
-
-    return v_fn
 
 
 def endpoint_map(u: ControlSignal, psi0: RadialState, sys: GalerkinSystem,

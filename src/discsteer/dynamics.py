@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .bessel import QuadratureRule, ZeroTable, gauss_legendre_rule
+from .bessel import ZeroTable
 from .errors import AdmissibilityError, DomainError
 from .spectral import RadialState, TargetParams, coupling_matrix
 
@@ -121,18 +121,21 @@ class ExpSum:
 class ControlSignal:
     """Real control on [0, T], sampled on a uniform grid.
 
-    How the signal is evaluated depends on `fn`:
+    A signal has one of two kinds of content:
 
-    - an `ExpSum` (the controls of `solve_moment` and `integrate_control`,
-      their sums and scalar multiples, and `zero`): evaluation, the
-      derivative, `integral`, `+` and scalar `*` act on the coefficients and
-      are exact up to rounding. `dfn` is an `ExpSum` too: the derivative of
-      `fn` by default, and `w` itself for `v = integrate_control(w)`.
-    - any other callable (`from_function`): `fn` is used everywhere, `dfn`
-      if given is the exact derivative (central differences of the samples
-      otherwise), and `integral` uses composite Gauss-Legendre panels.
-    - None (sampled controls, e.g. read from CSV): piecewise-linear
-      interpolation of the samples, central differences, trapezoid rule.
+    - an `ExpSum` in `fn` (the controls of `solve_moment` and
+      `integrate_control`, their sums and scalar multiples, and `zero`):
+      evaluation, the derivative, `integral`, `+` and scalar `*` act on the
+      coefficients and are exact up to rounding. `dfn` is an `ExpSum` too:
+      the derivative of `fn` by default, and `w` itself for
+      `v = integrate_control(w)`.
+    - samples: everything else. `integral` is the trapezoid rule, and `+`
+      and scalar `*` act on the samples and return a sampled signal.
+
+    A callable attached by `from_function` is only a more accurate point
+    evaluator for the samples: `__call__` uses it, and `derivative` uses
+    `dfn` if given (central differences of the samples otherwise). Nothing
+    else does, so a sum or multiple drops it.
 
     Whenever `fn` is attached, `samples` is `fn` on the grid.
     """
@@ -186,24 +189,10 @@ class ControlSignal:
         return float(np.max(np.abs(self.samples)))
 
     def integral(self) -> float:
-        """Integral of the signal over [0, T].
-
-        Closed form for an exponential sum. With another exact evaluator
-        attached, composite Gauss-Legendre panels are used so that highly
-        oscillatory signals are resolved; the fixed sample grid only supports
-        trapezoid accuracy.
-        """
+        """Integral over [0, T]: closed form for an exponential sum, the
+        trapezoid rule on the samples otherwise."""
         if isinstance(self.fn, ExpSum):
             return self.fn.integral(self.T)
-        if self.fn is not None:
-            n_sub = max(64, 4 * (self.samples.size - 1))
-            xg, wg = np.polynomial.legendre.leggauss(8)
-            edges = np.linspace(0.0, self.T, n_sub + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * np.diff(edges)
-            ts = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-            wq = (half[:, None] * wg[None, :]).ravel()
-            return float(np.sum(np.real(self.fn(ts)) * wq))
         return float(np.trapezoid(self.samples, self.grid))
 
     def is_h10_admissible(self) -> bool:
@@ -221,28 +210,13 @@ class ControlSignal:
             return ControlSignal.from_function(self.fn + other.fn, self.T, n,
                                                dfn=self.dfn + other.dfn)
         grid = np.linspace(0.0, self.T, n)
-        fn = dfn = None
-        if self.fn is not None and other.fn is not None:
-            a, b = self.fn, other.fn
-            fn = lambda t: a(t) + b(t)
-        if self.dfn is not None and other.dfn is not None:
-            da, db = self.dfn, other.dfn
-            dfn = lambda t: da(t) + db(t)
-        return ControlSignal(samples=self(grid) + other(grid), T=self.T,
-                             fn=fn, dfn=dfn)
+        return ControlSignal(samples=self(grid) + other(grid), T=self.T)
 
     def __mul__(self, scalar: float) -> "ControlSignal":
         if self.closed_form:
             return ControlSignal(samples=scalar * self.samples, T=self.T,
                                  fn=scalar * self.fn, dfn=scalar * self.dfn)
-        fn = dfn = None
-        if self.fn is not None:
-            f = self.fn
-            fn = lambda t: scalar * f(t)
-        if self.dfn is not None:
-            df = self.dfn
-            dfn = lambda t: scalar * df(t)
-        return ControlSignal(samples=scalar * self.samples, T=self.T, fn=fn, dfn=dfn)
+        return ControlSignal(samples=scalar * self.samples, T=self.T)
 
     __rmul__ = __mul__
 
@@ -256,14 +230,10 @@ class GalerkinSystem:
     M: np.ndarray
 
     @classmethod
-    def build(cls, N: int, table: ZeroTable,
-              rule: QuadratureRule | None = None) -> "GalerkinSystem":
+    def build(cls, N: int, table: ZeroTable) -> "GalerkinSystem":
         if table.k_max < N:
             raise DomainError(f"zero table covers k <= {table.k_max}, need {N}")
-        if rule is None:
-            rule = gauss_legendre_rule(256)
-        return cls(N=N, lambdas=table.lambdas(N),
-                   M=coupling_matrix(N, table, rule))
+        return cls(N=N, lambdas=table.lambdas(N), M=coupling_matrix(N, table))
 
 
 def free_evolution(state: RadialState, t: float, lambdas: np.ndarray) -> RadialState:

@@ -86,9 +86,7 @@ def check_nonresonance(table: ZeroTable, n_max: int) -> float:
 def upper_density(freqs: FrequencySet, r_values) -> np.ndarray:
     """Sliding-window density estimates max_I #(omega in I)/r over the
     symmetric extension of the frequency set."""
-    pos = freqs.omegas[freqs.omegas > 0]
-    ext = np.concatenate([-pos[::-1], [0.0], pos]) if 0.0 in freqs.omegas \
-        else np.concatenate([-pos[::-1], pos])
+    ext, _ = _symmetric_extension(freqs.omegas)
     out = []
     for r in np.atleast_1d(r_values):
         counts = np.searchsorted(ext, ext + r, side="right") - np.arange(ext.size)

@@ -140,13 +140,18 @@ def coupling_diagonal(k: int, table: ZeroTable, rule: QuadratureRule) -> float:
     return float(np.real(weighted_integral(integrand, rule)))
 
 
-def coupling_matrix(n: int, table: ZeroTable, rule: QuadratureRule) -> np.ndarray:
-    """Symmetric n x n matrix M_{kl} = <r^2 m_l, m_k> (1-based mode indices)."""
-    m = np.empty((n, n))
-    for k in range(1, n + 1):
-        m[k - 1, k - 1] = coupling_diagonal(k, table, rule)
-        for l in range(1, k):
-            v = coupling_closed_form(l, k, table)
-            m[k - 1, l - 1] = v
-            m[l - 1, k - 1] = v
+def coupling_matrix(n: int, table: ZeroTable) -> np.ndarray:
+    """Symmetric n x n matrix M_{kl} = <r^2 m_l, m_k> (1-based mode indices).
+
+    Closed form throughout: off the diagonal the identity of
+    `coupling_closed_form`, with sign(J_1(j_{0,k})) = (-1)^(k-1); on the
+    diagonal 1/3 - 2/(3 j_{0,k}^2), which `coupling_diagonal` checks by
+    quadrature.
+    """
+    j = np.array([table[(0, k)] for k in range(1, n + 1)])
+    sign = (-1.0) ** np.arange(n)
+    diff = np.subtract.outer(j ** 2, j ** 2)
+    np.fill_diagonal(diff, 1.0)
+    m = np.outer(sign, sign) * 8.0 * np.outer(j, j) / diff ** 2
+    np.fill_diagonal(m, 1.0 / 3.0 - 2.0 / (3.0 * j ** 2))
     return m

@@ -3,15 +3,21 @@
 import numpy as np
 import pytest
 
-from discsteer import (ControlSignal, GalerkinSystem, MomentProblem,
+from discsteer import (ControlSignal, ExpSum, GalerkinSystem, MomentProblem,
                        RadialState, RadiusTrajectory,
                        SteeringProblem, build_frequencies, control_from_radius,
                        endpoint_map, free_evolution, integrate_control,
                        map_fixed_to_disc, radius_from_control,
                        simulate_linearized, solve_moment, steer_local,
                        synthesize_linearized)
-from discsteer.control import _cumulative_quadrature
 from discsteer.errors import AdmissibilityError, DomainError
+from test_dynamics import panel_quadrature
+
+
+def sines(*amps):
+    """sum_m amps[m-1] sin(2 pi m t) as an ExpSum (sin x = Re i e^{-ix})."""
+    m = np.arange(1, len(amps) + 1)
+    return ExpSum(2 * np.pi * m, 1j * np.asarray(amps, dtype=float), [0.0])
 
 
 def tangent_target(params, T, lam, n_modes, n_support, rng, norm=1e-2,
@@ -33,9 +39,7 @@ class TestIntegrateControl:
         # w = sin(2 pi t) - its antiderivative is (1 - cos(2 pi t)) / (2 pi),
         # but that has nonzero mean; use a combination with both moments zero
         T = 1.0
-        fn = lambda t: np.sin(2 * np.pi * np.asarray(t)) \
-            - 2 * np.sin(4 * np.pi * np.asarray(t))
-        w = ControlSignal.from_function(fn, T)
+        w = ControlSignal.from_function(sines(1.0, -2.0), T)
         # int w = 0 and int t w = -1/(2 pi) + 2/(4 pi) = 0
         v = integrate_control(w)
         ts = np.linspace(0, T, 101)
@@ -43,7 +47,8 @@ class TestIntegrateControl:
             - (1 - np.cos(4 * np.pi * ts)) / (2 * np.pi)
         assert np.max(np.abs(v(ts) - exact)) < 1e-12
         assert v.is_h10_admissible()
-        assert np.max(np.abs(v.derivative(ts) - fn(ts))) < 1e-12
+        assert np.max(np.abs(v.derivative(ts) - np.sin(2 * np.pi * ts)
+                             + 2 * np.sin(4 * np.pi * ts))) < 1e-12
 
     def test_closed_form_against_quadrature(self, table, rng):
         freqs = build_frequencies(table, 9)
@@ -55,30 +60,31 @@ class TestIntegrateControl:
         v = integrate_control(w)
         assert v.closed_form and not np.any(v.fn.omegas == 0.0)
         ts = np.linspace(0, 1.0, 101)
-        oracle = _cumulative_quadrature(w.fn, 1.0)
-        assert np.max(np.abs(v(ts) - oracle(ts))) < 1e-12
+        assert np.max(np.abs(v(ts) - panel_quadrature(w.fn, ts))) < 1e-12
         assert np.all(v.derivative(ts) == w(ts))
         assert v.is_h10_admissible()
 
     def test_rejects_nonzero_mean(self):
-        w = ControlSignal.from_function(
-            lambda t: np.cos(2 * np.pi * np.asarray(t)) + 0.1, 1.0)
+        # cos x = Re e^{-ix}
+        w = ControlSignal.from_function(ExpSum([2 * np.pi], [1.0], [0.1]), 1.0)
         with pytest.raises(AdmissibilityError):
             integrate_control(w)
 
     def test_rejects_nonzero_t_moment(self):
         # zero mean but int t sin(2 pi t) = -1/(2 pi) != 0
-        w = ControlSignal.from_function(
-            lambda t: np.sin(2 * np.pi * np.asarray(t)), 1.0)
+        w = ControlSignal.from_function(sines(1.0), 1.0)
         with pytest.raises(AdmissibilityError):
             integrate_control(w)
 
-
-def test_cumulative_quadrature_scalar_and_array():
-    v = _cumulative_quadrature(lambda t: 3 * np.asarray(t) ** 2, 1.0)
-    assert v(0.5) == pytest.approx(0.125, abs=1e-13)
-    ts = np.linspace(0, 1, 17)
-    assert np.max(np.abs(v(ts) - ts ** 3)) < 1e-13
+    def test_rejects_non_exponential_sum(self):
+        # both have vanishing moments; only the representation is refused
+        fn = lambda t: np.sin(2 * np.pi * np.asarray(t)) \
+            - 2 * np.sin(4 * np.pi * np.asarray(t))
+        callable_w = ControlSignal.from_function(fn, 1.0)
+        sampled_w = ControlSignal(samples=callable_w.samples, T=1.0)
+        for w in (sampled_w, callable_w):
+            with pytest.raises(DomainError):
+                integrate_control(w)
 
 
 class TestSynthesizeLinearized:
@@ -138,9 +144,7 @@ class TestEndpointMap:
         # d/d eps of the endpoint along an admissible direction v equals the
         # linearized endpoint at first order around u = 0
         T = 1.0
-        fn = lambda t: (np.sin(2 * np.pi * np.asarray(t))
-                        - 2 * np.sin(4 * np.pi * np.asarray(t)))
-        w = ControlSignal.from_function(fn, T)
+        w = ControlSignal.from_function(sines(1.0, -2.0), T)
         v = integrate_control(w)
         packet0 = RadialState(params.weights())
         lin = simulate_linearized(v, params, sys40)
@@ -207,8 +211,7 @@ class TestSteerLocal:
         u = report.control
         assert u.closed_form and u.fn.omegas.size == one.fn.omegas.size
         ts = np.linspace(0, T, 101)
-        oracle = _cumulative_quadrature(u.dfn, T)
-        assert np.max(np.abs(u(ts) - oracle(ts))) < 1e-12
+        assert np.max(np.abs(u(ts) - panel_quadrature(u.dfn, ts))) < 1e-12
 
     def test_report_serialization(self, table, sys40, params, tmp_path):
         T = 1.0

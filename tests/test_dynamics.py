@@ -10,10 +10,9 @@ from discsteer.errors import AdmissibilityError, DomainError
 
 
 def bump_control(T, amp=1.0):
-    """Smooth control with u(0)=u(T)=0 and zero mean: amp * sin(2 pi t / T)."""
-    fn = lambda t: amp * np.sin(2 * np.pi * np.asarray(t) / T)
-    dfn = lambda t: amp * 2 * np.pi / T * np.cos(2 * np.pi * np.asarray(t) / T)
-    return ControlSignal.from_function(fn, T, dfn=dfn)
+    """Smooth control with u(0)=u(T)=0 and zero mean: amp * sin(2 pi t / T),
+    written as Re(i amp e^{-2 pi i t / T})."""
+    return ControlSignal.from_function(ExpSum([2 * np.pi / T], [1j * amp], [0.0]), T)
 
 
 class TestControlSignal:
@@ -40,6 +39,14 @@ class TestControlSignal:
         assert s(0.25) == pytest.approx(1.5)
         with pytest.raises(DomainError):
             u + bump_control(2.0)
+
+    def test_callable_algebra_is_sampled(self):
+        f = ControlSignal.from_function(lambda t: np.sin(3 * np.asarray(t)), 1.0)
+        g = ControlSignal.from_function(lambda t: np.asarray(t) ** 2, 1.0)
+        for out, samples in ((2.0 * f, 2.0 * f.samples),
+                             (f + g, f.samples + g.samples)):
+            assert out.fn is None and out.dfn is None
+            assert np.array_equal(out.samples, samples)
 
     def test_validation(self):
         with pytest.raises(DomainError):

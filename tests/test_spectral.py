@@ -123,9 +123,15 @@ class TestCoupling:
                 == pytest.approx(1.0 / 3.0 - 2.0 / (3.0 * jk ** 2), abs=1e-12)
 
     def test_matrix_symmetric(self, table, rule):
-        m = coupling_matrix(6, table, rule)
+        m = coupling_matrix(40, table)
         assert np.allclose(m, m.T)
         assert np.all(np.diag(m) > 0)
+        for k in range(1, 41):
+            assert m[k - 1, k - 1] == pytest.approx(
+                coupling_diagonal(k, table, rule), abs=1e-12)
+            for l in range(1, k):
+                assert m[k - 1, l - 1] == pytest.approx(
+                    coupling_closed_form(l, k, table), abs=1e-12)
 
     def test_decay_rate(self, table):
         # |<r^2 m_1, m_k>| ~ 8 j_1 / j_k^3 for large k
