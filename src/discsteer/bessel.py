@@ -36,26 +36,6 @@ def bessel_j(nu: int, x) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def bessel_j_derivative(nu: int, x) -> float:
-    """J_nu'(x) via the recurrence J_nu' = -J_{nu+1} + (nu/x) J_nu.
-
-    At x = 0 only nu = 0 (derivative 0) and nu = 1 (derivative 1/2) are
-    nonsingular special cases worth supporting.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr == 0):
-        if np.ndim(x) == 0:
-            if nu == 0:
-                return 0.0
-            if nu == 1:
-                return 0.5
-        raise DomainError("derivative at x=0 only defined for nu=0,1 scalars")
-    jnup1 = bessel_j(nu + 1, x)
-    jnu = bessel_j(nu, x)
-    out = -jnup1 + (nu / x_arr) * jnu
-    return float(out) if np.ndim(x) == 0 else out
-
-
 @dataclass(frozen=True)
 class ZeroTable:
     """Positive zeros j_{nu,k} of J_nu for nu <= nu_max, 1 <= k <= k_max.

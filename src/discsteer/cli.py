@@ -240,10 +240,7 @@ def cmd_simulate(args) -> int:
     table, sys_ = _setup_system(cfg)
     state0 = spectral.RadialState.from_json(cfg["state0"])
     if cfg["control"]:
-        u = _read_control_csv(cfg["control"])
-        w = dynamics.ControlSignal.from_function(
-            lambda t: u.derivative(t) - 4.0 * np.asarray(u(t)) ** 2, u.T,
-            n_samples=u.samples.size)
+        w = control.potential(_read_control_csv(cfg["control"]))
     else:
         w = dynamics.ControlSignal.zero(1.0)
     result = dynamics.simulate_bilinear(state0, w, sys_, steps=cfg["steps"])

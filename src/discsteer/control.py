@@ -9,9 +9,9 @@ import numpy as np
 
 from .dynamics import (ControlSignal, ExpSum, GalerkinSystem, free_evolution,
                        simulate_bilinear)
-from .errors import AdmissibilityError, DomainError, ConvergenceError
+from .errors import AdmissibilityError, DomainError
 from .moment import build_frequencies, build_rhs, solve_moment
-from .spectral import RadialState, TargetParams
+from .spectral import RadialState, TargetParams, wave_packet
 
 CONSTRAINT_TOL = 1e-8
 
@@ -34,8 +34,8 @@ class SteeringProblem:
 class RadiusTrajectory:
     """Physical radius R(tau) on a tau grid [0, T*].
 
-    The grid is uniform except for its last interval, which is 1 to 1.5
-    steps long.
+    The grid is the image tau(g) of a uniform grid in the fixed-domain time
+    g, so it is not uniform in tau: its spacing is 1/4 e^{2U(g)} dg.
     """
 
     taus: np.ndarray
@@ -99,19 +99,22 @@ def _cumtrapz(vals, grid):
     return out
 
 
+def potential(u: ControlSignal) -> ControlSignal:
+    """Galerkin potential coefficient u'(t) - 4 u(t)^2 of a deformation
+    control, assembled from the carried (u, u') pair and sampled on u's
+    grid."""
+    return ControlSignal.from_function(
+        lambda t: u.derivative(t) - 4.0 * np.asarray(u(t)) ** 2, u.T,
+        n_samples=u.samples.size)
+
+
 def endpoint_map(u: ControlSignal, psi0: RadialState, sys: GalerkinSystem,
                  steps: int = 2 ** 14) -> RadialState:
     """Final state of the bilinear system under the deformation control u.
 
-    The effective Galerkin potential coefficient is u'(t) - 4 u(t)^2,
-    assembled from the carried (u, u') pair.
+    The Galerkin potential coefficient is `potential(u)`.
     """
-    def w_eff(t):
-        return u.derivative(t) - 4.0 * np.asarray(u(t)) ** 2
-
-    coeff = ControlSignal.from_function(w_eff, u.T, n_samples=u.samples.size)
-    result = simulate_bilinear(psi0, coeff, sys, steps=steps)
-    return result.final
+    return simulate_bilinear(psi0, potential(u), sys, steps=steps).final
 
 
 @dataclass
@@ -157,8 +160,7 @@ def steer_local(problem: SteeringProblem, iterations: int = 5, K: int = 20,
     if sys is None:
         raise DomainError("a GalerkinSystem is required")
     T = problem.T
-    wts = problem.params.weights()
-    packet = wts * np.exp(-1j * sys.lambdas[:3] * T)
+    packet = wave_packet(problem.params, T, sys.lambdas)
     psi0 = RadialState(problem.psi0.padded(sys.N))
     psif = RadialState(problem.psif.padded(sys.N))
 
@@ -198,81 +200,22 @@ def steer_local(problem: SteeringProblem, iterations: int = 5, K: int = 20,
                           converged=res <= tol, iterations=iterations)
 
 
-def radius_from_control(u: ControlSignal, T: float | None = None,
+def radius_from_control(u: ControlSignal,
                         n_steps: int = 4096) -> RadiusTrajectory:
     """Reconstruct the physical radius trajectory R(tau) from u.
 
-    Integrates g'(tau) = 4 exp(-2 int_0^{g} u) by RK4 with fixed step until
-    g reaches T (event located by bisection on the final step, which absorbs
-    the step before it when it is shorter than half a step), then sets
-    R(tau) = exp(int_0^{g(tau)} u).
+    The time change g'(tau) = 4 exp(-2 U(g)), U(g) = int_0^g u, is
+    separable: tau(g) = 1/4 int_0^g exp(2 U). Both integrals are taken by
+    the cumulative trapezoid rule on a uniform grid of n_steps intervals in
+    g over [0, T], and R(tau(g)) = exp(U(g)).
     """
-    if T is None:
-        T = u.T
-    grid = u.grid
-    vals = np.atleast_1d(u(grid))
-    total = float(np.trapezoid(vals, grid))
+    total = u.integral()
     if abs(total) > CONSTRAINT_TOL * max(1.0, u.max_abs() * u.T):
         raise AdmissibilityError(f"int_0^T u = {total:.3e}; zero mean required")
-
-    # prefix integral of u on a fine grid, extended by zero outside [0, T]
-    fine = np.linspace(0.0, u.T, 1 << 15)
-    fine_vals = np.atleast_1d(u(fine))
-    prefix = _cumtrapz(fine_vals, fine)
-
-    def u_prefix(t):
-        t = np.asarray(t, dtype=float)
-        out = np.interp(np.clip(t, 0.0, u.T), fine, prefix)
-        return out
-
-    def g_rate(g):
-        return 4.0 * np.exp(-2.0 * u_prefix(g))
-
-    u_l1 = float(np.trapezoid(np.abs(fine_vals), fine))
-    horizon = 2.0 * T * np.exp(2.0 * u_l1)
-    dt = T / n_steps
-
-    taus = [0.0]
-    gs = [0.0]
-    g = 0.0
-    tau = 0.0
-    while g < T:
-        k1 = g_rate(g)
-        k2 = g_rate(g + 0.5 * dt * k1)
-        k3 = g_rate(g + 0.5 * dt * k2)
-        k4 = g_rate(g + dt * k3)
-        g_next = g + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        tau += dt
-        if g_next >= T:
-            # bisect within the last step for g(tau*) = T
-            lo, hi = 0.0, dt
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                k1 = g_rate(g)
-                k2 = g_rate(g + 0.5 * mid * k1)
-                k3 = g_rate(g + 0.5 * mid * k2)
-                k4 = g_rate(g + mid * k3)
-                g_mid = g + mid / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-                if g_mid < T:
-                    lo = mid
-                else:
-                    hi = mid
-            tau = taus[-1] + 0.5 * (lo + hi)
-            g_next = T
-        taus.append(tau)
-        gs.append(g_next)
-        g = g_next
-        if tau > horizon:
-            raise ConvergenceError("radius ODE failed to reach the horizon "
-                                   "(internal error)")
-    if len(taus) > 2 and taus[-1] - taus[-2] < 0.5 * dt:
-        # a sliver of a final step would make control_from_radius
-        # differentiate across it; let the last interval span 1 to 1.5 steps
-        del taus[-2], gs[-2]
-    taus = np.array(taus)
-    gs = np.array(gs)
-    radii = np.exp(u_prefix(gs))
-    return RadiusTrajectory(taus=taus, radii=radii, T_star=float(taus[-1]))
+    g = np.linspace(0.0, u.T, n_steps + 1)
+    U = _cumtrapz(np.atleast_1d(u(g)), g)
+    taus = 0.25 * _cumtrapz(np.exp(2.0 * U), g)
+    return RadiusTrajectory(taus=taus, radii=np.exp(U), T_star=float(taus[-1]))
 
 
 def control_from_radius(traj: RadiusTrajectory) -> tuple:

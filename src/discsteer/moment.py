@@ -10,7 +10,6 @@ extended by t -> t.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ from .bessel import ZeroTable
 from .dynamics import (ControlSignal, ExpSum, GalerkinSystem, _int_exp,
                        _int_t_exp)
 from .errors import AdmissibilityError, ConditioningError, DomainError
-from .spectral import RadialState, TargetParams
+from .spectral import RadialState, TargetParams, wave_packet
 
 TANGENT_TOL = 1e-8
 
@@ -140,19 +139,6 @@ class MomentProblem:
             if abs(self.d[i].imag) > 1e-12 * scale:
                 raise DomainError("the zero-frequency moment d_0 must be real")
 
-    def to_json(self, path) -> None:
-        payload = {
-            "T": self.T,
-            "d_tilde": self.d_tilde,
-            "frequencies": [
-                {"omega": float(w), "origin": list(o) if o else None,
-                 "d": [float(v.real), float(v.imag)]}
-                for w, o, v in zip(self.freqs.omegas, self.freqs.origins, self.d)
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-
 
 @dataclass(frozen=True)
 class MomentSolution:
@@ -162,15 +148,6 @@ class MomentSolution:
     omegas_ext: np.ndarray
     coeffs: np.ndarray  # aligned with omegas_ext; last entry is the t coefficient
     diagnostics: dict = field(compare=False)
-
-    def to_json(self, path) -> None:
-        payload = {
-            "omegas": list(map(float, self.omegas_ext)),
-            "coefficients": [[float(c.real), float(c.imag)] for c in self.coeffs],
-            "diagnostics": self.diagnostics,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
 
 
 def solve_moment(problem: MomentProblem, n_samples: int = 2049,
@@ -267,7 +244,7 @@ def build_rhs(psi_f: RadialState, params: TargetParams, T: float,
         raise DomainError("target has modes beyond the frequency coverage")
 
     wts = params.weights()
-    packet = wts * np.exp(-1j * lam[:3] * T)  # reference coefficients at T
+    packet = wave_packet(params, T, lam)  # reference coefficients at T
     tangent = float(np.real(np.sum(coeffs[:3] * np.conj(packet))))
     scale = max(psi_f.l2_norm(), 1.0)
     if abs(tangent) > TANGENT_TOL * scale:

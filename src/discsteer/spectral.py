@@ -100,20 +100,11 @@ def hs_norm(state: RadialState, s: float, table: ZeroTable) -> float:
     return float(np.sqrt(np.sum(np.abs(j ** s * state.coeffs) ** 2)))
 
 
-def phi_sharp(params: TargetParams, n_modes: int = 3) -> RadialState:
-    """Unit-norm reference state supported on modes 1..3."""
-    c = np.zeros(n_modes, dtype=complex)
-    c[:3] = params.weights()
-    return RadialState(c)
-
-
-def wave_packet(params: TargetParams, tau: float, table: ZeroTable,
-                n_modes: int = 3) -> RadialState:
-    """Free evolution of the reference state at time tau."""
-    lam = table.lambdas(3)
-    c = np.zeros(n_modes, dtype=complex)
-    c[:3] = params.weights() * np.exp(-1j * lam * tau)
-    return RadialState(c)
+def wave_packet(params: TargetParams, tau: float, lambdas) -> np.ndarray:
+    """Coefficients sqrt(theta_p) e^{-i lambda_p tau}, p = 1..3, of the
+    reference state evolved freely to time tau; `lambdas` are the
+    eigenvalues, of which the first three are used."""
+    return params.weights() * np.exp(-1j * np.asarray(lambdas[:3]) * tau)
 
 
 def coupling_closed_form(l: int, k: int, table: ZeroTable) -> float:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discsteer import (ZeroTable, bessel_j, bessel_j_derivative, compute_zeros,
-                       gauss_legendre_rule, weighted_integral)
+from discsteer import (ZeroTable, bessel_j, compute_zeros, gauss_legendre_rule,
+                       weighted_integral)
 from discsteer.errors import DomainError
 
 def series_j(nu, x, terms=200):
@@ -63,20 +63,6 @@ def test_bessel_domain_errors():
         bessel_j(0, -0.5)
     with pytest.raises(DomainError):
         bessel_j(0, 2e6)
-
-
-def test_derivative_recurrence_against_mpmath():
-    for nu in (0, 1, 2, 3):
-        for x in (0.3, 1.7, 5.2, 11.0):
-            ref = float(mpmath.diff(lambda t: mpmath.besselj(nu, t), x))
-            assert bessel_j_derivative(nu, x) == pytest.approx(ref, abs=1e-11)
-
-
-def test_derivative_at_origin():
-    assert bessel_j_derivative(0, 0.0) == 0.0
-    assert bessel_j_derivative(1, 0.0) == 0.5
-    with pytest.raises(DomainError):
-        bessel_j_derivative(2, 0.0)
 
 
 class TestZeroTable:

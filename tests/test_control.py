@@ -253,8 +253,8 @@ class TestRadius:
 
     @pytest.mark.parametrize("seed", [[108, 1], [14, 0]])
     def test_round_trip_short_final_step(self, seed):
-        # sampled controls whose bisected final RK4 step is under 1% of a
-        # step: the last samples must meet the bound of the interior too
+        # sampled controls at criterion 10's resolution: the last samples
+        # must meet the bound of the interior too
         grid = np.linspace(0.0, 1.0, 1025)
         m = np.arange(1, 5)
         phases = 2 * np.pi * np.random.default_rng(seed).random(4)
@@ -262,10 +262,26 @@ class TestRadius:
                                            + phases[:, None])
         traj = radius_from_control(ControlSignal(samples=samples, T=1.0),
                                    n_steps=8192)
-        assert traj.taus[-1] - traj.taus[-2] > 1.0 / 8192  # step absorbed
         g_vals, u_vals = control_from_radius(traj)
         err = np.abs(u_vals - np.interp(np.clip(g_vals, 0, 1), grid, samples))
         assert np.max(err) < 1e-6
+
+    def test_round_trip_default_resolution(self):
+        # criterion 10's control as a callable, and a sampled control of
+        # amplitude 0.1/m^2, at the default n_steps: every sample, the last
+        # ones included, within criterion 10's bound
+        crit10 = lambda t: 0.1 * np.sin(2 * np.pi * np.asarray(t)) \
+            - 0.04 * np.sin(4 * np.pi * np.asarray(t))
+        grid = np.linspace(0.0, 1.0, 1025)
+        m = np.arange(1, 5)
+        phases = 2 * np.pi * np.random.default_rng(5).random(4)
+        samples = (0.1 / m ** 2) @ np.sin(2 * np.pi * np.outer(m, grid)
+                                          + phases[:, None])
+        sampled = lambda t: np.interp(t, grid, samples)
+        for u, fn in ((ControlSignal.from_function(crit10, 1.0), crit10),
+                      (ControlSignal(samples=samples, T=1.0), sampled)):
+            g_vals, u_vals = control_from_radius(radius_from_control(u))
+            assert np.max(np.abs(u_vals - fn(np.clip(g_vals, 0, 1)))) < 1e-6
 
     def test_rejects_nonzero_mean(self):
         u = ControlSignal.from_function(lambda t: 0.1 + 0 * np.asarray(t), 1.0)

@@ -167,16 +167,6 @@ class TestSolveMoment:
         with pytest.raises(DomainError):
             MomentProblem(freqs=freqs, d=d, T=1.0)
 
-    def test_json_round_trip(self, table, tmp_path):
-        freqs = build_frequencies(table, 4)
-        prob = MomentProblem(freqs=freqs, d=np.zeros(freqs.K), T=1.0,
-                             d_tilde=0.0)
-        prob.to_json(tmp_path / "problem.json")
-        sol = solve_moment(prob)
-        sol.to_json(tmp_path / "solution.json")
-        assert (tmp_path / "problem.json").exists()
-        assert (tmp_path / "solution.json").exists()
-
 
 def random_tangent_target(params, T, lam, n_modes, n_support, rng, norm=1e-2):
     c = np.zeros(n_modes, dtype=complex)

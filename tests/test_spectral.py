@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from discsteer import (RadialState, TargetParams, bessel_j,
                        coupling_closed_form, coupling_diagonal,
-                       coupling_matrix, hs_norm, mode, phi_sharp, wave_packet,
+                       coupling_matrix, hs_norm, mode, wave_packet,
                        weighted_integral)
 from discsteer.errors import DomainError
 
@@ -82,15 +82,12 @@ def test_hs_norm(table):
         hs_norm(s, -1, table)
 
 
-def test_phi_sharp_and_wave_packet(table, params):
-    phi = phi_sharp(params)
-    assert phi.l2_norm() == pytest.approx(1.0)
-    assert np.all(phi.coeffs.imag == 0)
-    packet = wave_packet(params, 0.7, table)
-    assert packet.l2_norm() == pytest.approx(1.0)
-    lam = table.lambdas(3)
-    assert np.allclose(packet.coeffs,
-                       phi.coeffs * np.exp(-1j * lam * 0.7))
+def test_wave_packet(table, params):
+    lam = table.lambdas(5)
+    packet = wave_packet(params, 0.7, lam)
+    assert packet.shape == (3,)
+    assert np.linalg.norm(packet) == pytest.approx(1.0)
+    assert np.allclose(packet, params.weights() * np.exp(-1j * lam[:3] * 0.7))
 
 
 class TestCoupling:
