@@ -18,8 +18,7 @@ from .errors import (AdmissibilityError, ConditioningError, ConvergenceError,
                      DiscSteerError, DomainError)
 from .moment import (FrequencySet, MomentProblem, MomentSolution,
                      build_frequencies, build_rhs, check_nonresonance,
-                     gamma_tilde, gram_matrix, moment_residuals, solve_moment,
-                     upper_density)
+                     gamma_tilde, gram_matrix, moment_residuals, solve_moment)
 from .spectral import (RadialState, TargetParams, coupling_closed_form,
                        coupling_diagonal, coupling_matrix, hs_norm, mode,
                        wave_packet)

@@ -75,10 +75,14 @@ class ZeroTable:
     def from_json(cls, path) -> "ZeroTable":
         with open(path) as fh:
             payload = json.load(fh)
-        zeros = {(e["nu"], e["k"]): e["value"] for e in payload["zeros"]}
+        try:
+            zeros = {(e["nu"], e["k"]): e["value"] for e in payload["zeros"]}
+            tol = payload["tol"]
+        except (KeyError, TypeError) as exc:
+            raise DomainError(f"zero table {path} is malformed ({exc!r})") from None
         nu_max = max(nu for nu, _ in zeros)
         k_max = max(k for _, k in zeros)
-        return cls(nu_max=nu_max, k_max=k_max, zeros=zeros, tol=payload["tol"])
+        return cls(nu_max=nu_max, k_max=k_max, zeros=zeros, tol=tol)
 
 
 def _zeros_one_order(nu: int, k_max: int, tol: float) -> list:

@@ -37,15 +37,34 @@ def _load_config(path) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise DomainError(f"config file {path} must hold a JSON object")
+    return config
 
 
 def _effective(defaults: dict, config: dict, flags: dict) -> dict:
-    """Flags override config-file values override defaults."""
+    """Flags override config-file values override defaults.
+
+    A value must have its default's type; an int may stand for a float, and
+    a string (a path) for None.
+    """
     out = dict(defaults)
     out.update({k: v for k, v in config.items() if k in defaults})
     out.update({k: v for k, v in flags.items() if v is not None and k in defaults})
+    for key, value in out.items():
+        kind = type(defaults[key])
+        allowed = {float: (int, float), type(None): (str, type(None))}.get(kind, kind)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise DomainError(f"{key} = {value!r}: expected a value like "
+                              f"{defaults[key]!r}")
     return out
+
+
+def _require(cfg: dict, *keys) -> None:
+    for key in keys:
+        if cfg[key] is None:
+            raise DomainError(f"--{key} is required")
 
 
 def _write_manifest(out_dir, command: str, cfg: dict, inputs: dict,
@@ -61,19 +80,23 @@ def _write_manifest(out_dir, command: str, cfg: dict, inputs: dict,
         json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
-def _write_control_csv(path, signal: dynamics.ControlSignal, name="u") -> None:
-    grid = signal.grid
+def _write_csv(path, header, xs, ys) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", name])
-        for t, v in zip(grid, signal.samples):
-            writer.writerow([f"{t:.16e}", f"{v:.16e}"])
+        writer.writerow(header)
+        for x, y in zip(xs, ys):
+            writer.writerow([f"{x:.16e}", f"{y:.16e}"])
 
 
 def _read_control_csv(path) -> dynamics.ControlSignal:
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
+        rows = list(csv.reader(fh))[1:]
+    if len(rows) < 2 or any(len(row) != 2 for row in rows):
+        raise DomainError(f"control CSV {path} needs a header and at least "
+                          "two rows of two numbers (t, u)")
+    data = np.array([[float(a), float(b)] for a, b in rows])
+    if not np.all(np.isfinite(data)):
+        raise DomainError(f"control CSV {path} holds a non-finite value")
     t, v = data[:, 0], data[:, 1]
     if abs(t[0]) > 1e-12 or np.any(np.abs(np.diff(t) - (t[-1] / (t.size - 1))) > 1e-9):
         raise DomainError("control CSV must use a uniform grid starting at 0")
@@ -88,11 +111,7 @@ def _ensure_out(args) -> str:
 
 def cmd_zeros(args) -> int:
     cfg = _effective({"nu": 0, "k": 64, "tol": bessel.DEFAULT_ZERO_TOL},
-                     _load_config(args.config),
-                     {"nu": args.nu, "k": args.k, "tol": args.tol})
-    if cfg["k"] < 1:
-        print("error: --k must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+                     _load_config(args.config), vars(args))
     out = _ensure_out(args)
     table = bessel.compute_zeros(cfg["nu"], cfg["k"], cfg["tol"])
     path = os.path.join(out, "zeros.json")
@@ -102,8 +121,8 @@ def cmd_zeros(args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(table: bessel.ZeroTable, cfg: dict) -> dict:
-    rule = bessel.gauss_legendre_rule(cfg["quad_order"])
+def _verify_checks(table: bessel.ZeroTable) -> dict:
+    rule = bessel.gauss_legendre_rule(256)
     report = {}
 
     # zero certification
@@ -112,7 +131,7 @@ def _verify_checks(table: bessel.ZeroTable, cfg: dict) -> dict:
     report["zeros_certified"] = report["zero_residual_max"] <= 10 * table.tol
 
     # orthogonality of the normalised modes
-    kk = min(table.k_max, cfg["ortho_modes"])
+    kk = min(table.k_max, 30)
     vals = np.array([spectral.mode(k, rule.nodes, table) for k in range(1, kk + 1)])
     gram = (vals * rule.nodes * rule.weights) @ vals.T
     off = gram - np.eye(kk)
@@ -123,7 +142,7 @@ def _verify_checks(table: bessel.ZeroTable, cfg: dict) -> dict:
         report["orthogonality_worst_pair"] = [int(worst[0]) + 1, int(worst[1]) + 1]
 
     # the program's closed-form coupling matrix against quadrature
-    kk = min(table.k_max, cfg["coupling_modes"])
+    kk = min(table.k_max, 20)
     vals = np.array([spectral.mode(k, rule.nodes, table) for k in range(1, kk + 1)])
     quad = (vals * rule.nodes ** 3 * rule.weights) @ vals.T
     worst = float(np.max(np.abs(spectral.coupling_matrix(kk, table) - quad)))
@@ -131,7 +150,7 @@ def _verify_checks(table: bessel.ZeroTable, cfg: dict) -> dict:
     report["coupling_identity_ok"] = worst <= 1e-9
 
     # coupling magnitude bounds j^3 |coupling(p, k)|
-    kk = min(table.k_max, cfg["bound_modes"])
+    kk = min(table.k_max, 40)
     bounds = {}
     for p in (1, 2, 3):
         vals = [table[(0, k)] ** 3 * abs(spectral.coupling_closed_form(p, k, table))
@@ -141,13 +160,13 @@ def _verify_checks(table: bessel.ZeroTable, cfg: dict) -> dict:
     report["coupling_bounds_ok"] = all(b["min"] > 0 for b in bounds.values())
 
     # non-resonance
-    gap = moment.check_nonresonance(table, min(table.k_max, cfg["nonresonance_modes"]))
+    gap = moment.check_nonresonance(table, min(table.k_max, 200))
     report["nonresonance_min_gap"] = gap
     report["nonresonance_ok"] = gap > 1e-6
 
     # Gram conditioning at the guaranteed horizon
     gt = moment.gamma_tilde(table)
-    freqs = moment.build_frequencies(table, min(table.k_max, 12)).truncate(cfg["gram_size"])
+    freqs = moment.build_frequencies(table, min(table.k_max, 12)).truncate(30)
     g = moment.gram_matrix(freqs, 2 * np.pi / gt)
     eigs = np.linalg.eigvalsh(g)
     report["gram_min_eig"] = float(eigs[0])
@@ -160,17 +179,14 @@ def _verify_checks(table: bessel.ZeroTable, cfg: dict) -> dict:
 
 
 def cmd_verify(args) -> int:
-    defaults = {"k": 40, "tol": bessel.DEFAULT_ZERO_TOL, "quad_order": 256,
-                "ortho_modes": 30, "coupling_modes": 20, "bound_modes": 40,
-                "nonresonance_modes": 200, "gram_size": 30, "table": None}
-    cfg = _effective(defaults, _load_config(args.config),
-                     {"k": args.k, "table": args.table})
+    defaults = {"k": 40, "tol": bessel.DEFAULT_ZERO_TOL, "table": None}
+    cfg = _effective(defaults, _load_config(args.config), vars(args))
     out = _ensure_out(args)
     if cfg["table"]:
         table = bessel.ZeroTable.from_json(cfg["table"])
     else:
         table = bessel.compute_zeros(0, cfg["k"], cfg["tol"])
-    report = _verify_checks(table, cfg)
+    report = _verify_checks(table)
     path = os.path.join(out, "verify_report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
@@ -183,24 +199,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["all_ok"] else EXIT_VERIFY
 
 
-def _setup_system(cfg):
-    table = bessel.compute_zeros(0, max(cfg["N"], cfg["K"], 3), cfg.get("tol", 1e-12))
-    sys_ = dynamics.GalerkinSystem.build(cfg["N"], table)
-    return table, sys_
+def _setup_system(N: int, K: int):
+    """Zero table for N modes, K moment modes and the reference packet, and
+    the N-mode Galerkin system."""
+    table = bessel.compute_zeros(0, max(N, K, 3))
+    return table, dynamics.GalerkinSystem.build(N, table)
 
 
 def cmd_synthesize(args) -> int:
     defaults = {"theta2": 0.25, "theta3": 0.25, "T": 1.0, "K": 20, "N": 40,
                 "psi0": None, "psif": None}
-    cfg = _effective(defaults, _load_config(args.config),
-                     {"theta2": args.theta2, "theta3": args.theta3, "T": args.T,
-                      "K": args.K, "N": args.N, "psi0": args.psi0,
-                      "psif": args.psif})
-    if cfg["psif"] is None:
-        print("error: a target state file (--psif) is required", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _effective(defaults, _load_config(args.config), vars(args))
+    _require(cfg, "psif")
     out = _ensure_out(args)
-    table, sys_ = _setup_system(cfg)
+    table, sys_ = _setup_system(cfg["N"], cfg["K"])
     params = spectral.TargetParams(cfg["theta2"], cfg["theta3"])
     psif = spectral.RadialState.from_json(cfg["psif"])
     psi0 = spectral.RadialState.from_json(cfg["psi0"]) if cfg["psi0"] \
@@ -209,12 +221,9 @@ def cmd_synthesize(args) -> int:
                                       psi0=psi0, psif=psif)
     v = control.synthesize_linearized(problem, cfg["K"], sys=sys_, table=table)
     endpoint = dynamics.simulate_linearized(v, params, sys_)
-    target = spectral.RadialState(
-        psif.padded(sys_.N)
-        - dynamics.free_evolution(spectral.RadialState(psi0.padded(sys_.N)),
-                                  cfg["T"], sys_.lambdas).coeffs)
+    target = problem.linear_target(sys_)
     err = float(np.linalg.norm(endpoint.coeffs - target.coeffs))
-    _write_control_csv(os.path.join(out, "control_v.csv"), v, name="v")
+    _write_csv(os.path.join(out, "control_v.csv"), ["t", "v"], v.grid, v.samples)
     report = {"endpoint_error": err,
               "target_norm": target.l2_norm(),
               "control_max": v.max_abs()}
@@ -228,16 +237,11 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    defaults = {"N": 40, "steps": 2 ** 14, "control": None, "state0": None,
-                "K": 3}
-    cfg = _effective(defaults, _load_config(args.config),
-                     {"N": args.N, "steps": args.steps, "control": args.control,
-                      "state0": args.state0})
-    if cfg["state0"] is None:
-        print("error: an initial state file (--state0) is required", file=sys.stderr)
-        return EXIT_USAGE
+    defaults = {"N": 40, "steps": 2 ** 14, "control": None, "state0": None}
+    cfg = _effective(defaults, _load_config(args.config), vars(args))
+    _require(cfg, "state0")
     out = _ensure_out(args)
-    table, sys_ = _setup_system(cfg)
+    _, sys_ = _setup_system(cfg["N"], 0)
     state0 = spectral.RadialState.from_json(cfg["state0"])
     if cfg["control"]:
         w = control.potential(_read_control_csv(cfg["control"]))
@@ -268,15 +272,10 @@ def cmd_simulate(args) -> int:
 def cmd_steer(args) -> int:
     defaults = {"theta2": 0.25, "theta3": 0.25, "T": 1.0, "K": 20, "N": 40,
                 "iterations": 4, "steps": 2 ** 14, "psi0": None, "psif": None}
-    cfg = _effective(defaults, _load_config(args.config),
-                     {"theta2": args.theta2, "theta3": args.theta3, "T": args.T,
-                      "K": args.K, "N": args.N, "iterations": args.iterations,
-                      "psi0": args.psi0, "psif": args.psif})
-    if cfg["psi0"] is None or cfg["psif"] is None:
-        print("error: --psi0 and --psif state files are required", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _effective(defaults, _load_config(args.config), vars(args))
+    _require(cfg, "psi0", "psif")
     out = _ensure_out(args)
-    table, sys_ = _setup_system(cfg)
+    table, sys_ = _setup_system(cfg["N"], cfg["K"])
     params = spectral.TargetParams(cfg["theta2"], cfg["theta3"])
     problem = control.SteeringProblem(
         params=params, T=cfg["T"],
@@ -285,9 +284,11 @@ def cmd_steer(args) -> int:
     report = control.steer_local(problem, iterations=cfg["iterations"],
                                  K=cfg["K"], sys=sys_, table=table,
                                  steps=cfg["steps"])
-    _write_control_csv(os.path.join(out, "control_u.csv"), report.control)
-    traj = control.radius_from_control(report.control)
-    _write_radius_csv(os.path.join(out, "radius.csv"), traj)
+    u = report.control
+    _write_csv(os.path.join(out, "control_u.csv"), ["t", "u"], u.grid, u.samples)
+    traj = control.radius_from_control(u)
+    _write_csv(os.path.join(out, "radius.csv"), ["tau", "R"], traj.taus,
+               traj.radii)
     report.to_json(os.path.join(out, "steer_report.json"),
                    extra={"T_star": traj.T_star})
     _write_manifest(out, "steer", cfg,
@@ -297,25 +298,14 @@ def cmd_steer(args) -> int:
     return EXIT_OK if report.converged else EXIT_NUMERICAL
 
 
-def _write_radius_csv(path, traj: control.RadiusTrajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "R"])
-        for tau, r in zip(traj.taus, traj.radii):
-            writer.writerow([f"{tau:.16e}", f"{r:.16e}"])
-
-
 def cmd_radius(args) -> int:
-    defaults = {"control": None}
-    cfg = _effective(defaults, _load_config(args.config),
-                     {"control": args.control})
-    if cfg["control"] is None:
-        print("error: a control CSV (--control) is required", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _effective({"control": None}, _load_config(args.config), vars(args))
+    _require(cfg, "control")
     out = _ensure_out(args)
     u = _read_control_csv(cfg["control"])
     traj = control.radius_from_control(u)
-    _write_radius_csv(os.path.join(out, "radius.csv"), traj)
+    _write_csv(os.path.join(out, "radius.csv"), ["tau", "R"], traj.taus,
+               traj.radii)
     _write_manifest(out, "radius", cfg, {"control": cfg["control"]},
                     ["radius.csv"])
     print(f"T* = {traj.T_star:.6f}, R in [{traj.radii.min():.6f}, "

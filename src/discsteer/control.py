@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (ControlSignal, ExpSum, GalerkinSystem, free_evolution,
+from .bessel import ZeroTable
+from .dynamics import (ControlSignal, GalerkinSystem, free_evolution,
                        simulate_bilinear)
 from .errors import AdmissibilityError, DomainError
 from .moment import build_frequencies, build_rhs, solve_moment
@@ -29,6 +30,12 @@ class SteeringProblem:
         if self.T <= 0:
             raise DomainError("horizon T must be positive")
 
+    def linear_target(self, sys: GalerkinSystem) -> RadialState:
+        """Target of the linearised problem from 0: psif - exp(-i Lambda T) psi0."""
+        free = free_evolution(RadialState(self.psi0.padded(sys.N)), self.T,
+                              sys.lambdas)
+        return RadialState(self.psif.padded(sys.N) - free.coeffs)
+
 
 @dataclass(frozen=True)
 class RadiusTrajectory:
@@ -47,28 +54,19 @@ class RadiusTrajectory:
             raise DomainError("the radius must stay strictly positive")
 
 
-def synthesize_linearized(problem: SteeringProblem, K: int,
-                          sys: GalerkinSystem | None = None,
-                          table=None) -> ControlSignal:
+def synthesize_linearized(problem: SteeringProblem, K: int, sys: GalerkinSystem,
+                          table: ZeroTable) -> ControlSignal:
     """Control v steering the linearised system from psi0 to psif in time T.
 
     K is the highest mode index covered by the moment frequencies. Nonzero
-    initial data is reduced away: the effective target is
-    psif - (free evolution of psi0).
+    initial data is reduced away by `problem.linear_target`.
     """
-    if sys is None:
-        raise DomainError("a GalerkinSystem is required")
-    if table is None:
-        raise DomainError("a ZeroTable is required to build frequencies")
     if K > sys.N:
         raise DomainError("frequency coverage K cannot exceed the truncation N")
     freqs = build_frequencies(table, K)
-    target = RadialState(problem.psif.padded(sys.N)
-                         - free_evolution(RadialState(problem.psi0.padded(sys.N)),
-                                          problem.T, sys.lambdas).coeffs)
-    mp = build_rhs(target, problem.params, problem.T, sys, freqs)
-    sol = solve_moment(mp)
-    return integrate_control(sol.signal)
+    mp = build_rhs(problem.linear_target(sys), problem.params, problem.T, sys,
+                   freqs)
+    return integrate_control(solve_moment(mp).signal)
 
 
 def integrate_control(w: ControlSignal) -> ControlSignal:
@@ -78,9 +76,10 @@ def integrate_control(w: ControlSignal) -> ControlSignal:
     sampled `w`, with or without a point evaluator, raises `DomainError`.
     Both vanishing moments of w (int w = 0 and int t w = 0) are required;
     they make v vanish at both endpoints and have zero mean. The moments and
-    v are exact closed forms, and v carries w as its exact derivative.
+    v are exact closed forms, and v's derivative, taken from its
+    coefficients, is w up to rounding.
     """
-    if not isinstance(w.fn, ExpSum):
+    if not w.closed_form:
         raise DomainError("integrate_control needs an exponential-sum control")
     total, t_moment = w.fn.integral(w.T), w.fn.t_moment(w.T)
     scale = max(w.max_abs(), 1e-300)
@@ -90,7 +89,7 @@ def integrate_control(w: ControlSignal) -> ControlSignal:
             f"w violates the vanishing-moment constraints (int w = {total:.3e}, "
             f"int t w = {t_moment:.3e})")
     return ControlSignal.from_function(w.fn.antiderivative(), w.T,
-                                       n_samples=w.samples.size, dfn=w.fn)
+                                       n_samples=w.samples.size)
 
 
 def _cumtrapz(vals, grid):
@@ -146,58 +145,45 @@ def _project_tangent(state: RadialState, packet: np.ndarray) -> RadialState:
     return RadialState(c)
 
 
-def steer_local(problem: SteeringProblem, iterations: int = 5, K: int = 20,
-                sys: GalerkinSystem | None = None, table=None,
+def steer_local(problem: SteeringProblem, iterations: int = 5, K: int = 20, *,
+                sys: GalerkinSystem, table: ZeroTable,
                 steps: int = 2 ** 14, tol: float = 1e-6):
     """Newton loop with frozen linearisation steering the full bilinear system.
 
     Each iteration simulates the bilinear system under the current control,
     projects the endpoint mismatch onto the tangent space at the reference
     wave packet, synthesizes a linearised correction and adds it to the
-    control. Divergence (residual growing three times in a row) aborts with
-    the history attached.
+    control. The loop stops when the residual reaches tol, after
+    `iterations` corrections, or on divergence (the residual growing three
+    times in a row); the report holds the residual of every endpoint.
     """
-    if sys is None:
-        raise DomainError("a GalerkinSystem is required")
+    if iterations < 0:
+        raise DomainError("iterations must be >= 0")
     T = problem.T
     packet = wave_packet(problem.params, T, sys.lambdas)
     psi0 = RadialState(problem.psi0.padded(sys.N))
     psif = RadialState(problem.psif.padded(sys.N))
+    zero = RadialState(np.zeros(sys.N, dtype=complex))
 
     u = ControlSignal.zero(T)
     residuals = []
     grow_streak = 0
-    for it in range(iterations):
+    for it in range(iterations + 1):
         endpoint = endpoint_map(u, psi0, sys, steps=steps)
         mismatch = RadialState(psif.coeffs - endpoint.coeffs)
-        res = mismatch.l2_norm()
-        residuals.append(res)
-        if res <= tol:
+        residuals.append(mismatch.l2_norm())
+        grown = len(residuals) >= 2 and residuals[-1] > residuals[-2]
+        grow_streak = grow_streak + 1 if grown else 0
+        if residuals[-1] <= tol or grow_streak >= 3 or it == iterations:
             return SteeringReport(control=u, residuals=residuals,
-                                  converged=True, iterations=it)
-        if len(residuals) >= 2 and residuals[-1] > residuals[-2]:
-            grow_streak += 1
-            if grow_streak >= 3:
-                return SteeringReport(control=u, residuals=residuals,
-                                      converged=False, iterations=it)
-        else:
-            grow_streak = 0
-        target = _project_tangent(mismatch, packet)
+                                  converged=residuals[-1] <= tol, iterations=it)
         # the correction only acts on covered modes; drop the (scheme-error
         # sized) components beyond the frequency coverage
-        tc = target.coeffs.copy()
+        tc = _project_tangent(mismatch, packet).coeffs
         tc[K:] = 0.0
-        target = RadialState(tc)
-        correction_problem = SteeringProblem(
-            params=problem.params, T=T,
-            psi0=RadialState(np.zeros(sys.N, dtype=complex)), psif=target)
-        v = synthesize_linearized(correction_problem, K, sys=sys, table=table)
-        u = u + v
-    endpoint = endpoint_map(u, psi0, sys, steps=steps)
-    res = float(np.linalg.norm(psif.coeffs - endpoint.coeffs))
-    residuals.append(res)
-    return SteeringReport(control=u, residuals=residuals,
-                          converged=res <= tol, iterations=iterations)
+        correction_problem = SteeringProblem(params=problem.params, T=T,
+                                             psi0=zero, psif=RadialState(tc))
+        u = u + synthesize_linearized(correction_problem, K, sys=sys, table=table)
 
 
 def radius_from_control(u: ControlSignal,

@@ -126,16 +126,14 @@ class ControlSignal:
     - an `ExpSum` in `fn` (the controls of `solve_moment` and
       `integrate_control`, their sums and scalar multiples, and `zero`):
       evaluation, the derivative, `integral`, `+` and scalar `*` act on the
-      coefficients and are exact up to rounding. `dfn` is an `ExpSum` too:
-      the derivative of `fn` by default, and `w` itself for
-      `v = integrate_control(w)`.
-    - samples: everything else. `integral` is the trapezoid rule, and `+`
+      coefficients and are exact up to rounding.
+    - samples: everything else. The derivative is taken by central
+      differences of the samples, `integral` is the trapezoid rule, and `+`
       and scalar `*` act on the samples and return a sampled signal.
 
     A callable attached by `from_function` is only a more accurate point
-    evaluator for the samples: `__call__` uses it, and `derivative` uses
-    `dfn` if given (central differences of the samples otherwise). Nothing
-    else does, so a sum or multiple drops it.
+    evaluator for the samples: `__call__` uses it and nothing else does, so
+    a sum or multiple drops it.
 
     Whenever `fn` is attached, `samples` is `fn` on the grid.
     """
@@ -143,7 +141,6 @@ class ControlSignal:
     samples: np.ndarray
     T: float
     fn: object = field(default=None, repr=False, compare=False)
-    dfn: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
@@ -151,18 +148,15 @@ class ControlSignal:
             raise DomainError("a control signal needs at least two samples")
         if self.T <= 0:
             raise DomainError("horizon T must be positive")
-        if isinstance(self.fn, ExpSum) and self.dfn is None:
-            object.__setattr__(self, "dfn", self.fn.derivative())
 
     @classmethod
-    def from_function(cls, fn, T: float, n_samples: int = 2049,
-                      dfn=None) -> "ControlSignal":
+    def from_function(cls, fn, T: float, n_samples: int = 2049) -> "ControlSignal":
         grid = np.linspace(0.0, T, n_samples)
-        return cls(samples=np.real(fn(grid)), T=T, fn=fn, dfn=dfn)
+        return cls(samples=np.real(fn(grid)), T=T, fn=fn)
 
     @classmethod
-    def zero(cls, T: float, n_samples: int = 2049) -> "ControlSignal":
-        return cls(samples=np.zeros(n_samples), T=T, fn=ExpSum.zero())
+    def zero(cls, T: float) -> "ControlSignal":
+        return cls.from_function(ExpSum.zero(), T)
 
     @property
     def grid(self) -> np.ndarray:
@@ -170,8 +164,8 @@ class ControlSignal:
 
     @property
     def closed_form(self) -> bool:
-        """True when the signal and its derivative are exponential sums."""
-        return isinstance(self.fn, ExpSum) and isinstance(self.dfn, ExpSum)
+        """True when the signal is an exponential sum."""
+        return isinstance(self.fn, ExpSum)
 
     def __call__(self, t):
         if self.fn is not None:
@@ -179,9 +173,10 @@ class ControlSignal:
         return np.interp(t, self.grid, self.samples)
 
     def derivative(self, t):
-        """Derivative at t: exact if carried, otherwise central differences."""
-        if self.dfn is not None:
-            return np.real(self.dfn(t))
+        """Derivative at t: exact for an exponential sum, otherwise central
+        differences of the samples."""
+        if self.closed_form:
+            return self.fn.derivative()(t)
         d = np.gradient(self.samples, self.grid)
         return np.interp(t, self.grid, d)
 
@@ -191,7 +186,7 @@ class ControlSignal:
     def integral(self) -> float:
         """Integral over [0, T]: closed form for an exponential sum, the
         trapezoid rule on the samples otherwise."""
-        if isinstance(self.fn, ExpSum):
+        if self.closed_form:
             return self.fn.integral(self.T)
         return float(np.trapezoid(self.samples, self.grid))
 
@@ -207,15 +202,14 @@ class ControlSignal:
             raise DomainError("cannot add control signals with different horizons")
         n = max(self.samples.size, other.samples.size)
         if self.closed_form and other.closed_form:
-            return ControlSignal.from_function(self.fn + other.fn, self.T, n,
-                                               dfn=self.dfn + other.dfn)
+            return ControlSignal.from_function(self.fn + other.fn, self.T, n)
         grid = np.linspace(0.0, self.T, n)
         return ControlSignal(samples=self(grid) + other(grid), T=self.T)
 
     def __mul__(self, scalar: float) -> "ControlSignal":
         if self.closed_form:
             return ControlSignal(samples=scalar * self.samples, T=self.T,
-                                 fn=scalar * self.fn, dfn=scalar * self.dfn)
+                                 fn=scalar * self.fn)
         return ControlSignal(samples=scalar * self.samples, T=self.T)
 
     __rmul__ = __mul__

@@ -2,10 +2,11 @@
 
 The frequency set is ``{0} U {j_{0,n}^2 - j_{0,p}^2 : p=1,2,3, n >= p+1}``.
 A real control derivative w on [0, T] is sought with prescribed moments
-``int_0^T w(t) exp(i omega t) dt`` and, optionally, a prescribed value of
-``int_0^T t w(t) dt``. The truncated problem is solved by minimum-L2-norm
+``int_0^T w(t) exp(i omega t) dt`` and ``int_0^T t w(t) dt = 0``; with the
+zero-frequency moment ``int_0^T w = 0`` this makes v = int_0^t w an H^1_0
+control of zero mean. The truncated problem is solved by minimum-L2-norm
 inversion of the Gram matrix of the conjugate-symmetric exponential family
-extended by t -> t.
+extended by t -> t, and the solution is that family's `ExpSum`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy import linalg
 
 from .bessel import ZeroTable
 from .dynamics import (ControlSignal, ExpSum, GalerkinSystem, _int_exp,
-                       _int_t_exp)
+                       _int_t_exp, _oscillatory_nodes)
 from .errors import AdmissibilityError, ConditioningError, DomainError
 from .spectral import RadialState, TargetParams, wave_packet
 
@@ -82,17 +83,6 @@ def check_nonresonance(table: ZeroTable, n_max: int) -> float:
     return build_frequencies(table, n_max).min_gap()
 
 
-def upper_density(freqs: FrequencySet, r_values) -> np.ndarray:
-    """Sliding-window density estimates max_I #(omega in I)/r over the
-    symmetric extension of the frequency set."""
-    ext, _ = _symmetric_extension(freqs.omegas)
-    out = []
-    for r in np.atleast_1d(r_values):
-        counts = np.searchsorted(ext, ext + r, side="right") - np.arange(ext.size)
-        out.append(float(np.max(counts)) / r)
-    return np.array(out)
-
-
 def _symmetric_extension(omegas: np.ndarray):
     """(-omega_K .. -omega_1, [0,] omega_1 .. omega_K) and the mirror map."""
     pos = omegas[omegas > 0]
@@ -122,12 +112,12 @@ def gram_matrix(freqs: FrequencySet, T: float,
 
 @dataclass(frozen=True)
 class MomentProblem:
-    """Prescribed moments d aligned with `freqs`, optional t-moment, horizon T."""
+    """Prescribed moments d aligned with `freqs` and horizon T; the t-moment
+    is always prescribed to be 0."""
 
     freqs: FrequencySet
     d: np.ndarray
     T: float
-    d_tilde: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "d", np.asarray(self.d, dtype=complex))
@@ -142,21 +132,19 @@ class MomentProblem:
 
 @dataclass(frozen=True)
 class MomentSolution:
-    """Minimum-norm solution w with its exponential coefficient representation."""
+    """Minimum-norm solution w, an `ExpSum` in `signal.fn`."""
 
     signal: ControlSignal
-    omegas_ext: np.ndarray
-    coeffs: np.ndarray  # aligned with omegas_ext; last entry is the t coefficient
     diagnostics: dict = field(compare=False)
 
 
-def solve_moment(problem: MomentProblem, n_samples: int = 2049,
+def solve_moment(problem: MomentProblem,
                  cond_limit: float = 1e12) -> MomentSolution:
     """Solve the truncated moment problem by minimum-norm Gram inversion.
 
     The solution is expanded over the conjugate-symmetric exponential family
-    (plus t -> t when the t-moment is prescribed), so it is real-valued by
-    construction whenever d is extended conjugate-symmetrically.
+    plus t -> t, so it is real-valued by construction whenever d is extended
+    conjugate-symmetrically.
     """
     T = problem.T
     omegas = problem.freqs.omegas
@@ -169,9 +157,8 @@ def solve_moment(problem: MomentProblem, n_samples: int = 2049,
                                       if d_zero.size else []) + [d_pos]
     d_ext = np.concatenate(parts)
 
-    with_t = problem.d_tilde is not None
-    g = gram_matrix(problem.freqs, T, with_time_element=with_t)
-    rhs = np.concatenate([d_ext, [problem.d_tilde]]) if with_t else d_ext
+    g = gram_matrix(problem.freqs, T)
+    rhs = np.concatenate([d_ext, [0.0]])
 
     eigs = linalg.eigvalsh(g)
     m_eig, big_eig = float(eigs[0]), float(eigs[-1])
@@ -190,42 +177,34 @@ def solve_moment(problem: MomentProblem, n_samples: int = 2049,
     # enforce the conjugate symmetry that exact arithmetic would give
     x_exp = x[:ext.size]
     x_exp = 0.5 * (x_exp + np.conj(x_exp[mirror]))
-    x_t = float(x[-1].real) if with_t else 0.0
-
-    signal = ControlSignal.from_function(ExpSum(ext, x_exp, [0.0, x_t]), T,
-                                         n_samples=n_samples)
-    coeffs = np.concatenate([x_exp, [x_t]])
+    signal = ControlSignal.from_function(
+        ExpSum(ext, x_exp, [0.0, float(x[-1].real)]), T)
     residuals = moment_residuals(signal, problem)
     diagnostics = {
         "condition_number": float(cond),
         "gram_min_eig": m_eig,
         "gram_max_eig": big_eig,
-        "max_residual": float(np.max(np.abs(residuals))) if residuals.size else 0.0,
+        "max_residual": float(np.max(np.abs(residuals))),
     }
-    return MomentSolution(signal=signal, omegas_ext=ext, coeffs=coeffs,
-                          diagnostics=diagnostics)
+    return MomentSolution(signal=signal, diagnostics=diagnostics)
 
 
 def moment_residuals(signal: ControlSignal, problem: MomentProblem) -> np.ndarray:
-    """Residuals of all prescribed moments, by independent high-order quadrature.
+    """Residuals of all prescribed moments, the t-moment last, by independent
+    high-order quadrature.
 
     This is the oracle for `solve_moment`: it only evaluates the signal at
     composite Gauss-Legendre nodes and never uses the closed-form integrals
     of an `ExpSum`, so an error in that algebra cannot cancel against itself.
     """
-    from .dynamics import _oscillatory_nodes
-
     T = problem.T
     omega_max = float(problem.freqs.omegas[-1]) if problem.freqs.K else 1.0
     nodes, weights = _oscillatory_nodes(T, omega_max)
     w_vals = np.atleast_1d(signal(nodes))
     phases = np.exp(1j * np.multiply.outer(problem.freqs.omegas, nodes))
     moments = phases @ (weights * w_vals)
-    res = moments - problem.d
-    if problem.d_tilde is not None:
-        t_moment = np.sum(weights * nodes * w_vals)
-        res = np.concatenate([res, [t_moment - problem.d_tilde]])
-    return res
+    return np.concatenate([moments - problem.d,
+                           [np.sum(weights * nodes * w_vals)]])
 
 
 def build_rhs(psi_f: RadialState, params: TargetParams, T: float,
@@ -278,4 +257,4 @@ def build_rhs(psi_f: RadialState, params: TargetParams, T: float,
         else:
             coupling = sys.M[n - 1, p - 1]
             d[i] = 1j * wts[p - 1] * coeffs[n - 1] * phase[n - 1] / coupling
-    return MomentProblem(freqs=freqs, d=d, T=T, d_tilde=0.0)
+    return MomentProblem(freqs=freqs, d=d, T=T)

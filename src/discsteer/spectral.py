@@ -52,9 +52,18 @@ class RadialState:
 
     @classmethod
     def from_json(cls, path) -> "RadialState":
+        """Read a JSON list of [re, im] pairs of finite numbers."""
         with open(path) as fh:
             pairs = json.load(fh)
-        return cls(np.array([complex(re, im) for re, im in pairs]))
+        try:
+            data = np.array(pairs, dtype=float)
+        except (TypeError, ValueError):
+            data = np.zeros(0)
+        if data.ndim != 2 or data.shape[1] != 2:
+            raise DomainError(f"state file {path} must hold a list of [re, im] pairs")
+        if not np.all(np.isfinite(data)):
+            raise DomainError(f"state file {path} holds a non-finite coefficient")
+        return cls(data[:, 0] + 1j * data[:, 1])
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ def test_criterion_06_moment_solver(table):
     for _ in range(20):
         d = (rng.standard_normal(20) + 1j * rng.standard_normal(20)) * decay
         d[freqs.omegas == 0.0] = 0.0  # both vanishing-moment constraints
-        prob = MomentProblem(freqs=freqs, d=d, T=T_DEFAULT, d_tilde=0.0)
+        prob = MomentProblem(freqs=freqs, d=d, T=T_DEFAULT)
         sol = solve_moment(prob)
         res = moment_residuals(sol.signal, prob)
         worst_res = max(worst_res, float(np.max(np.abs(res[:-1]))))
@@ -143,8 +143,8 @@ def test_criterion_06_moment_solver(table):
         # reality of the coefficient representation, checked without the
         # final real() projection
         ts = np.linspace(0, T_DEFAULT, 501)
-        w_c = np.exp(-1j * np.outer(ts, sol.omegas_ext)) @ sol.coeffs[:-1] \
-            + sol.coeffs[-1] * ts
+        w = sol.signal.fn
+        w_c = np.exp(-1j * np.outer(ts, w.omegas)) @ w.amps + w.poly[1] * ts
         worst_imag = max(worst_imag, float(np.max(np.abs(w_c.imag))))
     ok = worst_res <= 1e-8 and worst_imag <= 1e-10 and worst_con <= 1e-8
     report(6, "moment solver on random data", ok,

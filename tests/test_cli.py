@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from discsteer import RadialState
+from discsteer.errors import DomainError
 from discsteer.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            _effective, main)
 
@@ -16,6 +17,45 @@ def test_effective_precedence():
     flags = {"a": 100, "b": None}
     out = _effective(defaults, config, flags)
     assert out == {"a": 100, "b": 2, "c": 30}
+
+
+def test_effective_types():
+    defaults = {"T": 1.0, "K": 20, "psif": None}
+    out = _effective(defaults, {"T": 2, "psif": "target.json"}, {})
+    assert out == {"T": 2, "K": 20, "psif": "target.json"}
+    for bad in ({"K": 2.5}, {"K": True}, {"T": "1"}, {"psif": 3}):
+        with pytest.raises(DomainError):
+            _effective(defaults, bad, {})
+
+
+def usage_error(argv, capsys):
+    """Exit code 2 with one `error:` line and no traceback."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code == EXIT_USAGE and err.startswith("error: ") \
+        and "Traceback" not in err
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    assert usage_error(["zeros", "--config", str(cfg), "--out", str(tmp_path)],
+                       capsys)
+
+
+def test_config_value_of_wrong_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": "abc"}))
+    assert usage_error(["zeros", "--config", str(cfg), "--out", str(tmp_path)],
+                       capsys)
+
+
+def test_verify_table_entry_without_value(tmp_path, capsys):
+    table = tmp_path / "zeros.json"
+    table.write_text(json.dumps({"tol": 1e-12,
+                                 "zeros": [{"nu": 0, "k": 1}]}))
+    assert usage_error(["verify", "--table", str(table),
+                        "--out", str(tmp_path / "v")], capsys)
 
 
 def test_no_command_is_usage_error():
@@ -138,6 +178,28 @@ def test_radius_round_trip_via_cli(tmp_path):
 
 def test_radius_requires_control(tmp_path):
     assert main(["radius", "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+def test_radius_rejects_header_only_csv(tmp_path, capsys):
+    csv_path = tmp_path / "u.csv"
+    csv_path.write_text("t,u\n")
+    assert usage_error(["radius", "--control", str(csv_path),
+                        "--out", str(tmp_path / "o")], capsys)
+
+
+def test_radius_rejects_nan_in_csv(tmp_path, capsys):
+    csv_path = tmp_path / "u.csv"
+    csv_path.write_text("t,u\n0.0,0.0\n0.5,nan\n1.0,0.0\n")
+    assert usage_error(["radius", "--control", str(csv_path),
+                        "--out", str(tmp_path / "o")], capsys)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "[[NaN, 0]]"])
+def test_simulate_rejects_malformed_state(tmp_path, capsys, text):
+    state0 = tmp_path / "state0.json"
+    state0.write_text(text)
+    assert usage_error(["simulate", "--state0", str(state0), "--N", "4",
+                        "--steps", "16", "--out", str(tmp_path / "o")], capsys)
 
 
 def test_radius_rejects_nonuniform_grid(tmp_path):

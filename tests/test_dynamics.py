@@ -45,7 +45,7 @@ class TestControlSignal:
         g = ControlSignal.from_function(lambda t: np.asarray(t) ** 2, 1.0)
         for out, samples in ((2.0 * f, 2.0 * f.samples),
                              (f + g, f.samples + g.samples)):
-            assert out.fn is None and out.dfn is None
+            assert out.fn is None
             assert np.array_equal(out.samples, samples)
 
     def test_validation(self):
@@ -248,16 +248,12 @@ class TestSimulateLinearized:
         # the zero-potential Galerkin system forced by v'(t) M psi_ref(t)
         T = 1.0
         amp = 1e-3
-        fn = lambda t: amp * np.sin(2 * np.pi * np.asarray(t) / T) ** 2 \
-            * np.sin(6 * np.pi * np.asarray(t) / T)
-        v = ControlSignal.from_function(fn, T)
-        # make it exactly admissible by construction checks
-        dfn = lambda t: amp * (
-            2 * np.pi / T * np.sin(4 * np.pi * np.asarray(t) / T)
-            * np.sin(6 * np.pi * np.asarray(t) / T)
-            + 6 * np.pi / T * np.sin(2 * np.pi * np.asarray(t) / T) ** 2
-            * np.cos(6 * np.pi * np.asarray(t) / T))
-        v = ControlSignal.from_function(fn, T, dfn=dfn)
+        # v = amp sin^2(2 pi t/T) sin(6 pi t/T)
+        #   = amp (2 sin(6 pi t/T) - sin(2 pi t/T) - sin(10 pi t/T)) / 4,
+        # written with sin x = Re(i e^{-ix}) so that v' is exact
+        v = ControlSignal.from_function(
+            ExpSum(2 * np.pi / T * np.array([1, 3, 5]),
+                   1j * amp * np.array([-0.25, 0.5, -0.25]), [0.0]), T)
         assert v.is_h10_admissible()
         end = simulate_linearized(v, params, sys40)
 

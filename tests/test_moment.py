@@ -6,7 +6,7 @@ import pytest
 from discsteer import (FrequencySet, GalerkinSystem, MomentProblem,
                        RadialState, TargetParams, build_frequencies, build_rhs,
                        check_nonresonance, gamma_tilde, gram_matrix,
-                       moment_residuals, solve_moment, upper_density)
+                       moment_residuals, solve_moment)
 from discsteer.errors import (AdmissibilityError, ConditioningError,
                               DomainError)
 from discsteer.moment import _int_exp, _int_t_exp
@@ -65,22 +65,6 @@ def test_nonresonance_exhaustive_oracle(table500):
     assert gap > 1e-6
 
 
-def test_upper_density(table):
-    freqs = build_frequencies(table, 30)
-    r_values = np.array([50.0, 200.0, 1000.0, 5000.0])
-    est = upper_density(freqs, r_values)
-    j3sq = table.lambdas(3)[2]
-    bound = 3 * np.sqrt(r_values + j3sq) / r_values
-    assert np.all(est <= bound + 1.0 / r_values)  # + the zero frequency
-    assert est[-1] < est[0]
-
-
-def test_upper_density_single_point():
-    freqs = FrequencySet(omegas=[0.0], origins=(None,))
-    est = upper_density(freqs, [1.0, 10.0, 100.0])
-    assert np.allclose(est, [1.0, 0.1, 0.01])
-
-
 class TestGram:
     def test_closed_form_integrals(self):
         T = 1.3
@@ -118,22 +102,15 @@ class TestGram:
 class TestSolveMoment:
     def test_homogeneous_gives_zero(self, table):
         freqs = build_frequencies(table, 5)
-        prob = MomentProblem(freqs=freqs, d=np.zeros(freqs.K), T=1.0,
-                             d_tilde=0.0)
+        prob = MomentProblem(freqs=freqs, d=np.zeros(freqs.K), T=1.0)
         sol = solve_moment(prob)
         assert np.max(np.abs(sol.signal.samples)) < 1e-12
-
-    def test_single_constant_constraint(self):
-        freqs = FrequencySet(omegas=[0.0], origins=(None,))
-        prob = MomentProblem(freqs=freqs, d=[1.0], T=2.0)
-        sol = solve_moment(prob)
-        assert np.allclose(sol.signal.samples, 0.5, atol=1e-12)
 
     def test_residuals_and_reality(self, table, rng):
         freqs = build_frequencies(table, 8)
         d = rng.standard_normal(freqs.K) + 1j * rng.standard_normal(freqs.K)
         d[freqs.omegas == 0.0] = np.abs(d[freqs.omegas == 0.0])
-        prob = MomentProblem(freqs=freqs, d=d, T=1.0, d_tilde=0.0)
+        prob = MomentProblem(freqs=freqs, d=d, T=1.0)
         sol = solve_moment(prob)
         res = moment_residuals(sol.signal, prob)
         assert np.max(np.abs(res)) < 1e-8
@@ -153,8 +130,7 @@ class TestSolveMoment:
     def test_conditioning_guard(self, table):
         # a tiny horizon with many frequencies is hopeless at finite K
         freqs = build_frequencies(table, 25)
-        prob = MomentProblem(freqs=freqs, d=np.zeros(freqs.K), T=1e-4,
-                             d_tilde=0.0)
+        prob = MomentProblem(freqs=freqs, d=np.zeros(freqs.K), T=1e-4)
         with pytest.raises(ConditioningError):
             solve_moment(prob)
 
@@ -184,7 +160,6 @@ class TestBuildRhs:
         psif = RadialState(np.zeros(40, dtype=complex))
         prob = build_rhs(psif, params, 1.0, sys40, freqs)
         assert np.all(prob.d == 0)
-        assert prob.d_tilde == 0.0
 
     def test_single_high_mode(self, table, sys40, params):
         T = 1.0
