@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
 
@@ -40,7 +39,8 @@ def bessel_j(nu: int, x) -> float:
 class ZeroTable:
     """Positive zeros j_{nu,k} of J_nu for nu <= nu_max, 1 <= k <= k_max.
 
-    Every stored zero z satisfies |J_nu(z)| <= 10*tol.
+    Every stored zero z satisfies |J_nu(z)| <= 10*tol; tol is the certification
+    bound only, not an accuracy the zeros were refined to.
     """
 
     nu_max: int
@@ -85,43 +85,14 @@ class ZeroTable:
         return cls(nu_max=nu_max, k_max=k_max, zeros=zeros, tol=tol)
 
 
-def _zeros_one_order(nu: int, k_max: int, tol: float) -> list:
-    """Bracket and refine the first k_max zeros of J_nu.
-
-    Sign changes are located by scanning upward from nu (zeros of J_nu exceed
-    nu and are asymptotically pi-spaced), then polished with brentq.
-    """
-    f = lambda x: special.jv(nu, x)
-    zeros = []
-    # McMahon-type start; for larger orders the first zero sits near
-    # nu + 1.86 nu^(1/3), so begin the scan below that.
-    x = max(nu + 1e-3, 0.5)
-    step = np.pi / 8
-    fx = f(x)
-    guard = 0
-    while len(zeros) < k_max:
-        x_next = x + step
-        fx_next = f(x_next)
-        if fx == 0.0:
-            zeros.append(x)
-            fx = fx_next
-            x = x_next
-            continue
-        if np.sign(fx) != np.sign(fx_next):
-            root = brentq(f, x, x_next, xtol=tol, rtol=4 * np.finfo(float).eps)
-            zeros.append(root)
-        x, fx = x_next, fx_next
-        guard += 1
-        if guard > 100000:
-            raise ConvergenceError(f"zero scan for nu={nu} did not find {k_max} zeros")
-    return zeros
-
-
 def compute_zeros(nu_max: int, k_max: int, tol: float = DEFAULT_ZERO_TOL) -> ZeroTable:
     """Compute a certified table of Bessel zeros.
 
-    Raises DomainError for invalid bounds and ConvergenceError if a bracket
-    fails to isolate a sign change (which would indicate a bug).
+    The zeros come from ``scipy.special.jn_zeros`` (Zhang & Jin's JYZO);
+    ``tol`` is only the certification bound |J_nu(z)| <= 10*tol. Raises
+    DomainError for invalid bounds, or when the k_max-th zero of order nu_max
+    would exceed X_MAX_SUPPORTED (McMahon's estimate (k + nu/2 - 1/4) pi), and
+    ConvergenceError if a zero fails the residual check.
     """
     if nu_max < 0 or nu_max > NU_MAX_SUPPORTED:
         raise DomainError(f"nu_max={nu_max} outside [0, {NU_MAX_SUPPORTED}]")
@@ -129,11 +100,14 @@ def compute_zeros(nu_max: int, k_max: int, tol: float = DEFAULT_ZERO_TOL) -> Zer
         raise DomainError("k_max must be >= 1")
     if not (0 < tol <= 1e-6):
         raise DomainError("tol must lie in (0, 1e-6]")
+    if (k_max + nu_max / 2 - 0.25) * np.pi > X_MAX_SUPPORTED:
+        raise DomainError(f"zero j_({nu_max},{k_max}) would exceed the supported "
+                          f"argument range [0, {X_MAX_SUPPORTED}]")
     zeros = {}
     for nu in range(nu_max + 1):
-        for k, z in enumerate(_zeros_one_order(nu, k_max, tol), start=1):
+        for k, z in enumerate(special.jn_zeros(nu, k_max).tolist(), start=1):
             if abs(special.jv(nu, z)) > 10 * tol:
-                raise ConvergenceError(f"refined zero j_({nu},{k}) fails residual check")
+                raise ConvergenceError(f"zero j_({nu},{k}) fails residual check")
             zeros[(nu, k)] = z
     return ZeroTable(nu_max=nu_max, k_max=k_max, zeros=zeros, tol=tol)
 
@@ -144,7 +118,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 def gauss_legendre_rule(order: int = 256) -> QuadratureRule:
@@ -152,7 +125,7 @@ def gauss_legendre_rule(order: int = 256) -> QuadratureRule:
     if order < 1:
         raise DomainError("quadrature order must be >= 1")
     x, w = np.polynomial.legendre.leggauss(order)
-    return QuadratureRule(nodes=0.5 * (x + 1.0), weights=0.5 * w, order=order)
+    return QuadratureRule(nodes=0.5 * (x + 1.0), weights=0.5 * w)
 
 
 def weighted_integral(f, rule: QuadratureRule):

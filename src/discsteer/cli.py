@@ -14,8 +14,9 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
-from . import bessel, control, dynamics, moment, spectral
+from . import __version__, bessel, control, dynamics, moment, spectral
 from .errors import (AdmissibilityError, ConditioningError, ConvergenceError,
                      DiscSteerError, DomainError)
 
@@ -67,14 +68,19 @@ def _require(cfg: dict, *keys) -> None:
             raise DomainError(f"--{key} is required")
 
 
-def _write_manifest(out_dir, command: str, cfg: dict, inputs: dict,
-                    outputs: list) -> None:
+def _write_manifest(out_dir, command: str, cfg: dict, outputs: list) -> None:
+    """Record the settings, the hashes of the input files (the settings that
+    default to None), the outputs and the library versions."""
+    _, _, defaults = COMMANDS[command]
+    inputs = [name for name, default in defaults.items() if default is None]
     manifest = {
         "command": command,
         "config": cfg,
-        "input_hashes": {name: _sha256(p) for name, p in inputs.items()
-                         if p and os.path.exists(p)},
+        "input_hashes": {name: _sha256(cfg[name]) for name in inputs
+                         if cfg[name] and os.path.exists(cfg[name])},
         "outputs": outputs,
+        "versions": {"discsteer": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -103,20 +109,11 @@ def _read_control_csv(path) -> dynamics.ControlSignal:
     return dynamics.ControlSignal(samples=v, T=float(t[-1]))
 
 
-def _ensure_out(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def cmd_zeros(args) -> int:
-    cfg = _effective({"nu": 0, "k": 64, "tol": bessel.DEFAULT_ZERO_TOL},
-                     _load_config(args.config), vars(args))
-    out = _ensure_out(args)
+def cmd_zeros(cfg: dict, out: str) -> int:
     table = bessel.compute_zeros(cfg["nu"], cfg["k"], cfg["tol"])
     path = os.path.join(out, "zeros.json")
     table.to_json(path)
-    _write_manifest(out, "zeros", cfg, {}, ["zeros.json"])
+    _write_manifest(out, "zeros", cfg, ["zeros.json"])
     print(f"wrote {path} ({len(table.zeros)} zeros)")
     return EXIT_OK
 
@@ -178,10 +175,7 @@ def _verify_checks(table: bessel.ZeroTable) -> dict:
     return report
 
 
-def cmd_verify(args) -> int:
-    defaults = {"k": 40, "tol": bessel.DEFAULT_ZERO_TOL, "table": None}
-    cfg = _effective(defaults, _load_config(args.config), vars(args))
-    out = _ensure_out(args)
+def cmd_verify(cfg: dict, out: str) -> int:
     if cfg["table"]:
         table = bessel.ZeroTable.from_json(cfg["table"])
     else:
@@ -190,9 +184,7 @@ def cmd_verify(args) -> int:
     path = os.path.join(out, "verify_report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
-    _write_manifest(out, "verify", cfg,
-                    {"table": cfg["table"]} if cfg["table"] else {},
-                    ["verify_report.json"])
+    _write_manifest(out, "verify", cfg, ["verify_report.json"])
     for key in sorted(report):
         if key.endswith("_ok"):
             print(f"{'PASS' if report[key] else 'FAIL'} {key[:-3]}")
@@ -206,12 +198,8 @@ def _setup_system(N: int, K: int):
     return table, dynamics.GalerkinSystem.build(N, table)
 
 
-def cmd_synthesize(args) -> int:
-    defaults = {"theta2": 0.25, "theta3": 0.25, "T": 1.0, "K": 20, "N": 40,
-                "psi0": None, "psif": None}
-    cfg = _effective(defaults, _load_config(args.config), vars(args))
+def cmd_synthesize(cfg: dict, out: str) -> int:
     _require(cfg, "psif")
-    out = _ensure_out(args)
     table, sys_ = _setup_system(cfg["N"], cfg["K"])
     params = spectral.TargetParams(cfg["theta2"], cfg["theta3"])
     psif = spectral.RadialState.from_json(cfg["psif"])
@@ -230,17 +218,13 @@ def cmd_synthesize(args) -> int:
     with open(os.path.join(out, "synthesize_report.json"), "w") as fh:
         json.dump(report, fh, indent=1)
     _write_manifest(out, "synthesize", cfg,
-                    {"psif": cfg["psif"], "psi0": cfg["psi0"]},
                     ["control_v.csv", "synthesize_report.json"])
     print(f"endpoint error {err:.3e} (target norm {target.l2_norm():.3e})")
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    defaults = {"N": 40, "steps": 2 ** 14, "control": None, "state0": None}
-    cfg = _effective(defaults, _load_config(args.config), vars(args))
+def cmd_simulate(cfg: dict, out: str) -> int:
     _require(cfg, "state0")
-    out = _ensure_out(args)
     _, sys_ = _setup_system(cfg["N"], 0)
     state0 = spectral.RadialState.from_json(cfg["state0"])
     if cfg["control"]:
@@ -262,19 +246,13 @@ def cmd_simulate(args) -> int:
            "norm_drift": result.norm_drift()}
     with open(os.path.join(out, "run.json"), "w") as fh:
         json.dump(run, fh, indent=1)
-    _write_manifest(out, "simulate", cfg,
-                    {"state0": cfg["state0"], "control": cfg["control"]},
-                    ["trajectory.csv", "run.json"])
+    _write_manifest(out, "simulate", cfg, ["trajectory.csv", "run.json"])
     print(f"norm drift {run['norm_drift']:.3e}")
     return EXIT_OK
 
 
-def cmd_steer(args) -> int:
-    defaults = {"theta2": 0.25, "theta3": 0.25, "T": 1.0, "K": 20, "N": 40,
-                "iterations": 4, "steps": 2 ** 14, "psi0": None, "psif": None}
-    cfg = _effective(defaults, _load_config(args.config), vars(args))
+def cmd_steer(cfg: dict, out: str) -> int:
     _require(cfg, "psi0", "psif")
-    out = _ensure_out(args)
     table, sys_ = _setup_system(cfg["N"], cfg["K"])
     params = spectral.TargetParams(cfg["theta2"], cfg["theta3"])
     problem = control.SteeringProblem(
@@ -292,25 +270,44 @@ def cmd_steer(args) -> int:
     report.to_json(os.path.join(out, "steer_report.json"),
                    extra={"T_star": traj.T_star})
     _write_manifest(out, "steer", cfg,
-                    {"psi0": cfg["psi0"], "psif": cfg["psif"]},
                     ["control_u.csv", "radius.csv", "steer_report.json"])
     print(f"residuals: {['%.3e' % r for r in report.residuals]}")
     return EXIT_OK if report.converged else EXIT_NUMERICAL
 
 
-def cmd_radius(args) -> int:
-    cfg = _effective({"control": None}, _load_config(args.config), vars(args))
+def cmd_radius(cfg: dict, out: str) -> int:
     _require(cfg, "control")
-    out = _ensure_out(args)
     u = _read_control_csv(cfg["control"])
     traj = control.radius_from_control(u)
     _write_csv(os.path.join(out, "radius.csv"), ["tau", "R"], traj.taus,
                traj.radii)
-    _write_manifest(out, "radius", cfg, {"control": cfg["control"]},
-                    ["radius.csv"])
+    _write_manifest(out, "radius", cfg, ["radius.csv"])
     print(f"T* = {traj.T_star:.6f}, R in [{traj.radii.min():.6f}, "
           f"{traj.radii.max():.6f}]")
     return EXIT_OK
+
+
+# Each subcommand's settings, declared once as name -> default. Every
+# setting is both a flag and a config key, and a value must have its
+# default's type. The settings that default to None are input file paths.
+COMMANDS = {
+    "zeros": (cmd_zeros, "compute and certify a Bessel zero table",
+              {"nu": 0, "k": 64, "tol": bessel.DEFAULT_ZERO_TOL}),
+    "verify": (cmd_verify, "run the numerical verification sweep",
+               {"k": 40, "tol": bessel.DEFAULT_ZERO_TOL, "table": None}),
+    "synthesize": (cmd_synthesize, "synthesize a linearized control",
+                   {"theta2": 0.25, "theta3": 0.25, "T": 1.0, "K": 20,
+                    "N": 40, "psi0": None, "psif": None}),
+    "simulate": (cmd_simulate, "simulate the bilinear system",
+                 {"N": 40, "steps": 2 ** 14, "control": None,
+                  "state0": None}),
+    "steer": (cmd_steer, "run the local nonlinear steering loop",
+              {"theta2": 0.25, "theta3": 0.25, "T": 1.0, "K": 20, "N": 40,
+               "iterations": 4, "steps": 2 ** 14, "psi0": None,
+               "psif": None}),
+    "radius": (cmd_radius, "reconstruct the radius trajectory",
+               {"control": None}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,55 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="discsteer",
         description="Deformation control synthesis for a quantum particle on a disc")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, help_, defaults) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default: cwd)")
-
-    p = sub.add_parser("zeros", help="compute and certify a Bessel zero table")
-    common(p)
-    p.add_argument("--nu", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_zeros)
-
-    p = sub.add_parser("verify", help="run the numerical verification sweep")
-    common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--table", help="existing zero table JSON")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("synthesize", help="synthesize a linearized control")
-    common(p)
-    for name, typ in [("theta2", float), ("theta3", float), ("T", float),
-                      ("K", int), ("N", int)]:
-        p.add_argument(f"--{name}", type=typ, default=None)
-    p.add_argument("--psi0", help="initial perturbation state JSON")
-    p.add_argument("--psif", help="target perturbation state JSON")
-    p.set_defaults(func=cmd_synthesize)
-
-    p = sub.add_parser("simulate", help="simulate the bilinear system")
-    common(p)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--control", help="control CSV (t, u)")
-    p.add_argument("--state0", help="initial state JSON")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("steer", help="run the local nonlinear steering loop")
-    common(p)
-    for name, typ in [("theta2", float), ("theta3", float), ("T", float),
-                      ("K", int), ("N", int), ("iterations", int)]:
-        p.add_argument(f"--{name}", type=typ, default=None)
-    p.add_argument("--psi0", help="initial state JSON")
-    p.add_argument("--psif", help="target state JSON")
-    p.set_defaults(func=cmd_steer)
-
-    p = sub.add_parser("radius", help="reconstruct the radius trajectory")
-    common(p)
-    p.add_argument("--control", help="control CSV (t, u)")
-    p.set_defaults(func=cmd_radius)
-
+        for name, default in defaults.items():
+            if default is None:
+                p.add_argument(f"--{name}", metavar="PATH", help="input file")
+            else:
+                p.add_argument(f"--{name}", type=type(default),
+                               help=f"default: {default}")
     return parser
 
 
@@ -377,7 +335,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        func, _, defaults = COMMANDS[args.command]
+        cfg = _effective(defaults, _load_config(args.config), vars(args))
+        out = args.out or "."
+        os.makedirs(out, exist_ok=True)
+        return func(cfg, out)
     except (ConditioningError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

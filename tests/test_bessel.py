@@ -6,6 +6,8 @@ package.
 """
 
 import json
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -66,14 +68,21 @@ def test_bessel_domain_errors():
 
 
 class TestZeroTable:
-    def test_first_zeros_match_reference(self, table):
-        # j_{0,1}, j_{0,2}, j_{1,1} to 12 digits (mpmath besseljzero oracle)
+    def test_first_zeros_match_reference(self, table, table500):
+        # j_{0,1}, j_{0,2}, j_{1,1} to 12 digits (mpmath besseljzero oracle),
+        # then far out in k and at the highest supported order
         assert table[(0, 1)] == pytest.approx(
             float(mpmath.besseljzero(0, 1)), abs=1e-11)
         assert table[(0, 2)] == pytest.approx(
             float(mpmath.besseljzero(0, 2)), abs=1e-11)
         assert table[(1, 1)] == pytest.approx(
             float(mpmath.besseljzero(1, 1)), abs=1e-11)
+        assert table500[(0, 500)] == pytest.approx(
+            float(mpmath.besseljzero(0, 500)), abs=1e-11)
+        high = compute_zeros(64, 64)
+        for k in (1, 64):
+            assert high[(64, k)] == pytest.approx(
+                float(mpmath.besseljzero(64, k)), abs=1e-11)
 
     def test_residual_certification(self, table):
         for (nu, _), z in table.zeros.items():
@@ -144,3 +153,12 @@ class TestQuadrature:
     def test_order_validation(self):
         with pytest.raises(DomainError):
             gauss_legendre_rule(0)
+
+
+def test_import_leaves_out_optimize_and_integrate():
+    # both pull in scipy.sparse, spatial and fft: about 18 MB of RSS
+    code = ("import sys, discsteer; print(sorted(m for m in sys.modules if "
+            "m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'])))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -74,6 +74,21 @@ def test_zeros_command(tmp_path):
     assert len(payload["zeros"]) == 10  # nu in {0, 1}, k in 1..5
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "zeros"
+    assert set(manifest["versions"]) == {"discsteer", "numpy", "scipy"}
+
+
+def test_zeros_command_large_k(tmp_path):
+    # every one of these zeros lies below 6.3e4, well inside bessel_j's range
+    out = tmp_path / "run"
+    assert main(["zeros", "--k", "20000", "--out", str(out)]) == EXIT_OK
+    payload = json.loads((out / "zeros.json").read_text())
+    assert len(payload["zeros"]) == 20000
+
+
+def test_zeros_beyond_supported_range(tmp_path, capsys):
+    # the 400000th zero lies near 1.26e6, past X_MAX_SUPPORTED = 1e6
+    assert usage_error(["zeros", "--k", "400000", "--out", str(tmp_path)],
+                       capsys)
 
 
 def test_zeros_deterministic(tmp_path):
@@ -108,6 +123,14 @@ def test_verify_passes(tmp_path):
     assert report["all_ok"]
     assert report["zero_residual_max"] <= 1e-11
     assert report["nonresonance_min_gap"] > 1e-6
+
+
+def test_verify_tol_flag(tmp_path):
+    out = tmp_path / "v"
+    assert main(["verify", "--k", "12", "--tol", "1e-10",
+                 "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["tol"] == 1e-10
 
 
 def test_verify_detects_corrupt_table(tmp_path):
@@ -211,3 +234,18 @@ def test_radius_rejects_nonuniform_grid(tmp_path):
 
 def test_steer_exit_code_paths(tmp_path):
     assert main(["steer", "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+def test_steer_steps_flag(tmp_path):
+    # zero iterations cannot converge (exit 3), but the run and its manifest
+    # are written with the flag's value
+    state = tmp_path / "state.json"
+    RadialState(np.eye(1, 6, 0)[0].astype(complex)).to_json(state)
+    out = tmp_path / "s"
+    code = main(["steer", "--N", "6", "--K", "4", "--iterations", "0",
+                 "--steps", "64", "--psi0", str(state), "--psif", str(state),
+                 "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["steps"] == 64
+    assert set(manifest["input_hashes"]) == {"psi0", "psif"}
