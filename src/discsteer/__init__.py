@@ -7,7 +7,7 @@ reconstruction.
 """
 
 from .bessel import (QuadratureRule, ZeroTable, bessel_j, compute_zeros,
-                     gauss_legendre_rule, weighted_integral)
+                     gauss_legendre_rule)
 from .control import (RadiusTrajectory, SteeringProblem, control_from_radius,
                       endpoint_map, integrate_control, map_fixed_to_disc,
                       potential, radius_from_control, steer_local,
@@ -17,10 +17,9 @@ from .dynamics import (ControlSignal, ExpSum, GalerkinSystem, free_evolution,
 from .errors import (AdmissibilityError, ConditioningError, ConvergenceError,
                      DiscSteerError, DomainError)
 from .moment import (FrequencySet, MomentProblem, MomentSolution,
-                     build_frequencies, build_rhs, check_nonresonance,
-                     gamma_tilde, gram_matrix, moment_residuals, solve_moment)
-from .spectral import (RadialState, TargetParams, coupling_closed_form,
-                       coupling_diagonal, coupling_matrix, hs_norm, mode,
-                       wave_packet)
+                     build_frequencies, build_rhs, gamma_tilde, gram_matrix,
+                     moment_residuals, solve_moment)
+from .spectral import (RadialState, TargetParams, coupling_matrix, hs_norm,
+                       mode, wave_packet)
 
 __version__ = "0.1.0"

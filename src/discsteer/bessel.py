@@ -80,6 +80,8 @@ class ZeroTable:
             tol = payload["tol"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"zero table {path} is malformed ({exc!r})") from None
+        if not zeros:
+            raise DomainError(f"zero table {path} holds no zeros")
         nu_max = max(nu for nu, _ in zeros)
         k_max = max(k for _, k in zeros)
         return cls(nu_max=nu_max, k_max=k_max, zeros=zeros, tol=tol)
@@ -126,9 +128,3 @@ def gauss_legendre_rule(order: int = 256) -> QuadratureRule:
         raise DomainError("quadrature order must be >= 1")
     x, w = np.polynomial.legendre.leggauss(order)
     return QuadratureRule(nodes=0.5 * (x + 1.0), weights=0.5 * w)
-
-
-def weighted_integral(f, rule: QuadratureRule):
-    """int_0^1 f(r) r dr, with the weight r absorbed into the quadrature."""
-    vals = np.asarray(f(rule.nodes))
-    return np.sum(vals * rule.nodes * rule.weights, axis=-1)

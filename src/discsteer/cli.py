@@ -119,6 +119,9 @@ def cmd_zeros(cfg: dict, out: str) -> int:
 
 
 def _verify_checks(table: bessel.ZeroTable) -> dict:
+    if table.k_max < 4:
+        raise DomainError(f"verify needs a zero table with k_max >= 4, because "
+                          f"the coupling bounds start at k=4 (k_max={table.k_max})")
     rule = bessel.gauss_legendre_rule(256)
     report = {}
 
@@ -146,18 +149,17 @@ def _verify_checks(table: bessel.ZeroTable) -> dict:
     report["coupling_identity_residual_max"] = worst
     report["coupling_identity_ok"] = worst <= 1e-9
 
-    # coupling magnitude bounds j^3 |coupling(p, k)|
+    # coupling magnitude bounds j_k^3 |coupling(p, k)|, p = 1..3, k = 4..kk
     kk = min(table.k_max, 40)
-    bounds = {}
-    for p in (1, 2, 3):
-        vals = [table[(0, k)] ** 3 * abs(spectral.coupling_closed_form(p, k, table))
-                for k in range(4, kk + 1)]
-        bounds[f"p{p}"] = {"min": float(min(vals)), "max": float(max(vals))}
+    m = spectral.coupling_matrix(kk, table)
+    scaled = table.row(0)[3:kk] ** 3 * np.abs(m[:3, 3:])
+    bounds = {f"p{p}": {"min": float(v.min()), "max": float(v.max())}
+              for p, v in enumerate(scaled, start=1)}
     report["coupling_bounds"] = bounds
     report["coupling_bounds_ok"] = all(b["min"] > 0 for b in bounds.values())
 
     # non-resonance
-    gap = moment.check_nonresonance(table, min(table.k_max, 200))
+    gap = moment.build_frequencies(table, min(table.k_max, 200)).min_gap()
     report["nonresonance_min_gap"] = gap
     report["nonresonance_ok"] = gap > 1e-6
 

@@ -27,8 +27,8 @@ class SteeringProblem:
     psif: RadialState
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise DomainError("horizon T must be positive")
+        if not 0 < self.T < np.inf:
+            raise DomainError(f"horizon T={self.T} must be finite and positive")
 
     def linear_target(self, sys: GalerkinSystem) -> RadialState:
         """Target of the linearised problem from 0: psif - exp(-i Lambda T) psi0."""

@@ -146,8 +146,8 @@ class ControlSignal:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if self.samples.ndim != 1 or self.samples.size < 2:
             raise DomainError("a control signal needs at least two samples")
-        if self.T <= 0:
-            raise DomainError("horizon T must be positive")
+        if not 0 < self.T < np.inf:
+            raise DomainError(f"horizon T={self.T} must be finite and positive")
 
     @classmethod
     def from_function(cls, fn, T: float, n_samples: int = 2049) -> "ControlSignal":
@@ -225,6 +225,8 @@ class GalerkinSystem:
 
     @classmethod
     def build(cls, N: int, table: ZeroTable) -> "GalerkinSystem":
+        if N < 1:
+            raise DomainError(f"the Galerkin system needs N >= 1 modes, got N={N}")
         if table.k_max < N:
             raise DomainError(f"zero table covers k <= {table.k_max}, need {N}")
         return cls(N=N, lambdas=table.lambdas(N), M=coupling_matrix(N, table))

@@ -78,11 +78,6 @@ def build_frequencies(table: ZeroTable, n_max: int) -> FrequencySet:
     return FrequencySet(omegas=omegas, origins=tuple(e[1] for e in entries))
 
 
-def check_nonresonance(table: ZeroTable, n_max: int) -> float:
-    """Minimum pairwise gap of the frequency set up to n_max; always > 0."""
-    return build_frequencies(table, n_max).min_gap()
-
-
 def _symmetric_extension(omegas: np.ndarray):
     """(-omega_K .. -omega_1, [0,] omega_1 .. omega_K) and the mirror map."""
     pos = omegas[omegas > 0]
@@ -170,9 +165,10 @@ def solve_moment(problem: MomentProblem,
             "increase T or reduce K")
     try:
         x = linalg.cho_solve(linalg.cho_factor(g), rhs)
-    except linalg.LinAlgError:
-        jitter = 1e-14 * np.trace(g).real / g.shape[0]
-        x = linalg.cho_solve(linalg.cho_factor(g + jitter * np.eye(g.shape[0])), rhs)
+    except linalg.LinAlgError as exc:
+        raise ConditioningError(
+            f"Cholesky factorisation of the Gram matrix failed ({exc}; "
+            f"T={T}, K={problem.freqs.K}); increase T or reduce K") from None
 
     # enforce the conjugate symmetry that exact arithmetic would give
     x_exp = x[:ext.size]

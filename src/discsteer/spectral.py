@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import QuadratureRule, ZeroTable, bessel_j, weighted_integral
+from .bessel import ZeroTable, bessel_j
 from .errors import DomainError
 
 
@@ -113,40 +113,20 @@ def wave_packet(params: TargetParams, tau: float, lambdas) -> np.ndarray:
     """Coefficients sqrt(theta_p) e^{-i lambda_p tau}, p = 1..3, of the
     reference state evolved freely to time tau; `lambdas` are the
     eigenvalues, of which the first three are used."""
-    return params.weights() * np.exp(-1j * np.asarray(lambdas[:3]) * tau)
-
-
-def coupling_closed_form(l: int, k: int, table: ZeroTable) -> float:
-    """Off-diagonal coupling <r^2 m_l, m_k> in closed form.
-
-    Equals sign(J_1(j_{0,l}) J_1(j_{0,k})) * 8 j_{0,l} j_{0,k} / (j_{0,k}^2 - j_{0,l}^2)^2.
-    """
-    if l == k:
-        raise DomainError("diagonal couplings are handled by coupling_diagonal")
-    jl = table[(0, l)]
-    jk = table[(0, k)]
-    sign = np.sign(bessel_j(1, jl)) * np.sign(bessel_j(1, jk))
-    return float(sign * 8.0 * jl * jk / (jk ** 2 - jl ** 2) ** 2)
-
-
-def coupling_diagonal(k: int, table: ZeroTable, rule: QuadratureRule) -> float:
-    """Diagonal coupling <r^2 m_k, m_k> by quadrature; lies in (0, 1)."""
-    z = table[(0, k)]
-    scale = 2.0 / bessel_j(1, z) ** 2
-
-    def integrand(r):
-        return scale * r ** 2 * bessel_j(0, z * r) ** 2
-
-    return float(np.real(weighted_integral(integrand, rule)))
+    lam = np.asarray(lambdas)[:3]
+    if lam.size < 3:
+        raise DomainError(f"the wave packet needs at least 3 eigenvalues, "
+                          f"got {lam.size}")
+    return params.weights() * np.exp(-1j * lam * tau)
 
 
 def coupling_matrix(n: int, table: ZeroTable) -> np.ndarray:
     """Symmetric n x n matrix M_{kl} = <r^2 m_l, m_k> (1-based mode indices).
 
-    Closed form throughout: off the diagonal the identity of
-    `coupling_closed_form`, with sign(J_1(j_{0,k})) = (-1)^(k-1); on the
-    diagonal 1/3 - 2/(3 j_{0,k}^2), which `coupling_diagonal` checks by
-    quadrature.
+    Closed form throughout: off the diagonal
+    (-1)^(k+l) 8 j_{0,k} j_{0,l} / (j_{0,k}^2 - j_{0,l}^2)^2, the sign being
+    sign(J_1(j_{0,k}) J_1(j_{0,l})) with sign(J_1(j_{0,k})) = (-1)^(k-1); on
+    the diagonal 1/3 - 2/(3 j_{0,k}^2).
     """
     j = np.array([table[(0, k)] for k in range(1, n + 1)])
     sign = (-1.0) ** np.arange(n)

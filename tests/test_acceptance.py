@@ -13,10 +13,9 @@ import pytest
 
 from discsteer import (ControlSignal, GalerkinSystem, MomentProblem,
                        RadialState, SteeringProblem, bessel_j,
-                       build_frequencies, check_nonresonance,
-                       control_from_radius, coupling_closed_form, endpoint_map,
-                       gamma_tilde, gauss_legendre_rule, gram_matrix,
-                       integrate_control, moment_residuals,
+                       build_frequencies, control_from_radius, coupling_matrix,
+                       endpoint_map, gamma_tilde, gauss_legendre_rule,
+                       gram_matrix, integrate_control, moment_residuals,
                        radius_from_control, simulate_bilinear,
                        simulate_linearized, solve_moment, steer_local,
                        synthesize_linearized)
@@ -94,10 +93,10 @@ def test_criterion_02_coupling_identity(table):
 def test_criterion_03_coupling_bounds(table500):
     ok = True
     details = []
-    for p in (1, 2, 3):
-        vals = np.array([table500[(0, k)] ** 3
-                         * abs(coupling_closed_form(p, k, table500))
-                         for k in range(4, 201)])
+    # j_k^3 |<r^2 m_p, m_k>|, k = 4..200, from the matrix the pipeline uses
+    scaled = table500.row(0)[3:200] ** 3 \
+        * np.abs(coupling_matrix(200, table500)[:3, 3:])
+    for p, vals in enumerate(scaled, start=1):
         lo, hi = COUPLING_BOUNDS[p]
         ok = ok and lo <= vals.min() and vals.max() <= hi and vals.min() > 0
         details.append(f"p={p}: [{vals.min():.4f}, {vals.max():.4f}]")
@@ -106,7 +105,7 @@ def test_criterion_03_coupling_bounds(table500):
 
 def test_criterion_04_nonresonance(table500):
     t0 = time.perf_counter()
-    gap = check_nonresonance(table500, 500)
+    gap = build_frequencies(table500, 500).min_gap()
     elapsed = time.perf_counter() - t0
     ok = gap > 1e-6 and elapsed < 5.0
     report(4, "non-resonance of gap frequencies to n=500", ok,

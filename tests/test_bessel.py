@@ -6,6 +6,7 @@ package.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discsteer import (ZeroTable, bessel_j, compute_zeros, gauss_legendre_rule,
-                       weighted_integral)
+import discsteer
+from discsteer import ZeroTable, bessel_j, compute_zeros, gauss_legendre_rule
 from discsteer.errors import DomainError
 
 def series_j(nu, x, terms=200):
@@ -136,7 +137,7 @@ class TestQuadrature:
         rule = gauss_legendre_rule(8)
         # int_0^1 r^n * r dr = 1/(n+2), exact up to degree 2*8-1 total
         for n in range(0, 12):
-            val = weighted_integral(lambda r, _n=n: r ** _n, rule)
+            val = np.sum(rule.nodes ** (n + 1) * rule.weights)
             assert val == pytest.approx(1.0 / (n + 2), rel=1e-14)
 
     def test_mode_orthogonality_identity(self, table, rule):
@@ -145,8 +146,8 @@ class TestQuadrature:
         for k in (1, 3, 10):
             for l in (1, 3, 10):
                 zk, zl = row[k - 1], row[l - 1]
-                val = weighted_integral(
-                    lambda r: bessel_j(0, zk * r) * bessel_j(0, zl * r), rule)
+                fk, fl = bessel_j(0, zk * rule.nodes), bessel_j(0, zl * rule.nodes)
+                val = np.sum(fk * fl * rule.nodes * rule.weights)
                 expect = bessel_j(1, zk) ** 2 / 2 if k == l else 0.0
                 assert val == pytest.approx(expect, abs=1e-12)
 
@@ -159,6 +160,9 @@ def test_import_leaves_out_optimize_and_integrate():
     # both pull in scipy.sparse, spatial and fft: about 18 MB of RSS
     code = ("import sys, discsteer; print(sorted(m for m in sys.modules if "
             "m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'])))")
+    # the child imports the same discsteer as this process, installed or not
+    src = os.path.dirname(os.path.dirname(discsteer.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"

@@ -28,12 +28,13 @@ def test_effective_types():
             _effective(defaults, bad, {})
 
 
-def usage_error(argv, capsys):
-    """Exit code 2 with one `error:` line and no traceback."""
+def usage_error(argv, capsys, naming=""):
+    """Exit code 2 with one `error:` line that contains `naming`, and no
+    traceback."""
     code = main(argv)
     err = capsys.readouterr().err
     return code == EXIT_USAGE and err.startswith("error: ") \
-        and "Traceback" not in err
+        and "Traceback" not in err and naming in err
 
 
 def test_config_must_be_an_object(tmp_path, capsys):
@@ -249,3 +250,54 @@ def test_steer_steps_flag(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["steps"] == 64
     assert set(manifest["input_hashes"]) == {"psi0", "psif"}
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_simulate_needs_a_mode(tmp_path, capsys, n):
+    state0 = tmp_path / "state0.json"
+    RadialState([1.0]).to_json(state0)
+    assert usage_error(["simulate", "--state0", str(state0), "--N", n,
+                        "--steps", "16", "--out", str(tmp_path / "o")],
+                       capsys, "N >= 1")
+
+
+def test_synthesize_needs_three_modes(tmp_path, capsys):
+    psif = tmp_path / "psif.json"
+    RadialState([0.0, 0.0]).to_json(psif)
+    assert usage_error(["synthesize", "--psif", str(psif), "--N", "2",
+                        "--K", "2", "--out", str(tmp_path / "o")],
+                       capsys, "at least 3 eigenvalues")
+
+
+def test_steer_needs_a_mode(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    RadialState([1.0]).to_json(state)
+    assert usage_error(["steer", "--N", "0", "--K", "0", "--psi0",
+                        str(state), "--psif", str(state),
+                        "--out", str(tmp_path / "o")],
+                       capsys, "N >= 1")
+
+
+@pytest.mark.parametrize("k", ["1", "2", "3"])
+def test_verify_needs_four_zeros(tmp_path, capsys, k):
+    assert usage_error(["verify", "--k", k, "--out", str(tmp_path)],
+                       capsys, "k_max >= 4")
+
+
+def test_verify_table_without_zeros(tmp_path, capsys):
+    table = tmp_path / "zeros.json"
+    table.write_text(json.dumps({"tol": 1e-12, "zeros": []}))
+    assert usage_error(["verify", "--table", str(table),
+                        "--out", str(tmp_path / "v")],
+                       capsys, "holds no zeros")
+
+
+@pytest.mark.parametrize("command", ["synthesize", "steer"])
+@pytest.mark.parametrize("T", ["nan", "inf"])
+def test_non_finite_horizon(tmp_path, capsys, command, T):
+    state = tmp_path / "state.json"
+    RadialState(np.eye(1, 6, 0)[0].astype(complex)).to_json(state)
+    assert usage_error([command, "--N", "6", "--K", "4", "--T", T,
+                        "--psi0", str(state), "--psif", str(state),
+                        "--out", str(tmp_path / "o")],
+                       capsys, "finite and positive")

@@ -86,6 +86,13 @@ class TestIntegrateControl:
                 integrate_control(w)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf")])
+def test_steering_problem_needs_finite_positive_horizon(params, T):
+    zero = RadialState(np.zeros(4, dtype=complex))
+    with pytest.raises(DomainError, match="finite and positive"):
+        SteeringProblem(params=params, T=T, psi0=zero, psif=zero)
+
+
 class TestSynthesizeLinearized:
     def test_free_target_needs_no_control(self, table, sys40, params, rng):
         T = 1.0

@@ -51,8 +51,9 @@ class TestControlSignal:
     def test_validation(self):
         with pytest.raises(DomainError):
             ControlSignal(samples=[1.0], T=1.0)
-        with pytest.raises(DomainError):
-            ControlSignal(samples=[0.0, 0.0], T=-1.0)
+        for T in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                ControlSignal(samples=[0.0, 0.0], T=T)
 
 
 def panel_quadrature(fn, upper, n_sub=512, order=16):
@@ -157,6 +158,12 @@ def test_free_evolution_phases(sys40):
 def test_galerkin_build_requires_table_coverage(table):
     with pytest.raises(DomainError):
         GalerkinSystem.build(table.k_max + 1, table)
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_galerkin_build_needs_a_mode(table, N):
+    with pytest.raises(DomainError, match="N >= 1"):
+        GalerkinSystem.build(N, table)
 
 
 def test_coupling_matrix_in_system_is_symmetric(sys40):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from discsteer import (FrequencySet, GalerkinSystem, MomentProblem,
                        RadialState, TargetParams, build_frequencies, build_rhs,
-                       check_nonresonance, gamma_tilde, gram_matrix,
-                       moment_residuals, solve_moment)
+                       gamma_tilde, gram_matrix, moment_residuals,
+                       solve_moment)
 from discsteer.errors import (AdmissibilityError, ConditioningError,
                               DomainError)
 from discsteer.moment import _int_exp, _int_t_exp
@@ -50,12 +51,12 @@ class TestFrequencySet:
 
 
 def test_nonresonance_small(table):
-    assert check_nonresonance(table, 10) > 0
+    assert build_frequencies(table, 10).min_gap() > 0
 
 
 def test_nonresonance_exhaustive_oracle(table500):
     # brute-force pairwise minimum against the package value
-    gap = check_nonresonance(table500, 60)
+    gap = build_frequencies(table500, 60).min_gap()
     lam = table500.lambdas(60)
     vals = [0.0]
     for p in (1, 2, 3):
@@ -132,6 +133,18 @@ class TestSolveMoment:
         freqs = build_frequencies(table, 25)
         prob = MomentProblem(freqs=freqs, d=np.zeros(freqs.K), T=1e-4)
         with pytest.raises(ConditioningError):
+            solve_moment(prob)
+
+    def test_failed_cholesky_is_conditioning_error(self, table, monkeypatch):
+        # a Gram matrix that passes the condition check but fails to
+        # factor is reported, not solved a second time on a shifted matrix
+        def fail(*args, **kwargs):
+            raise linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(linalg, "cho_factor", fail)
+        freqs = build_frequencies(table, 5)
+        prob = MomentProblem(freqs=freqs, d=np.zeros(freqs.K), T=1.0)
+        with pytest.raises(ConditioningError, match="Cholesky"):
             solve_moment(prob)
 
     def test_problem_validation(self, table):

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discsteer import (RadialState, TargetParams, bessel_j,
-                       coupling_closed_form, coupling_diagonal,
-                       coupling_matrix, hs_norm, mode, wave_packet,
-                       weighted_integral)
+from discsteer import (RadialState, TargetParams, coupling_matrix, hs_norm,
+                       mode, wave_packet)
 from discsteer.errors import DomainError
 
 
@@ -90,55 +88,33 @@ def test_wave_packet(table, params):
     assert np.allclose(packet, params.weights() * np.exp(-1j * lam[:3] * 0.7))
 
 
+def test_wave_packet_needs_three_eigenvalues(table, params):
+    with pytest.raises(DomainError, match="at least 3 eigenvalues"):
+        wave_packet(params, 0.7, table.lambdas(2))
+
+
 class TestCoupling:
     def test_closed_form_matches_quadrature(self, table, rule):
-        for l, k in [(1, 2), (1, 5), (2, 3), (3, 9), (5, 20)]:
-            quad = weighted_integral(
-                lambda r: r ** 2 * mode(l, r, table) * mode(k, r, table), rule)
-            assert coupling_closed_form(l, k, table) \
-                == pytest.approx(quad, abs=1e-11)
+        # every entry, diagonal included, against one vectorised quadrature
+        m = coupling_matrix(40, table)
+        vals = np.array([mode(k, rule.nodes, table) for k in range(1, 41)])
+        quad = (vals * rule.nodes ** 3 * rule.weights) @ vals.T
+        assert np.max(np.abs(m - quad)) < 1e-12
+        assert np.array_equal(m, m.T)
+        assert np.all((np.diag(m) > 0) & (np.diag(m) < 1))
 
     def test_sign_alternation(self, table):
         # sign(J_1(j_{0,k})) alternates, so coupling(1, k) alternates with k
+        m = coupling_matrix(12, table)
         for k in range(2, 12):
-            assert np.sign(coupling_closed_form(1, k, table)) == (-1) ** (k - 1)
-
-    def test_symmetry(self, table):
-        assert coupling_closed_form(2, 7, table) \
-            == coupling_closed_form(7, 2, table)
-
-    def test_diagonal_in_unit_interval(self, table, rule):
-        for k in (1, 2, 10, 40):
-            v = coupling_diagonal(k, table, rule)
-            assert 0 < v < 1
-
-    def test_diagonal_closed_form(self, table, rule):
-        # <r^2 m_k, m_k> = 1/3 - 2/(3 j_k^2) via the standard J_0 moments
-        for k in (1, 3, 8):
-            jk = table[(0, k)]
-            assert coupling_diagonal(k, table, rule) \
-                == pytest.approx(1.0 / 3.0 - 2.0 / (3.0 * jk ** 2), abs=1e-12)
-
-    def test_matrix_symmetric(self, table, rule):
-        m = coupling_matrix(40, table)
-        assert np.allclose(m, m.T)
-        assert np.all(np.diag(m) > 0)
-        for k in range(1, 41):
-            assert m[k - 1, k - 1] == pytest.approx(
-                coupling_diagonal(k, table, rule), abs=1e-12)
-            for l in range(1, k):
-                assert m[k - 1, l - 1] == pytest.approx(
-                    coupling_closed_form(l, k, table), abs=1e-12)
+            assert np.sign(m[0, k - 1]) == (-1) ** (k - 1)
 
     def test_decay_rate(self, table):
         # |<r^2 m_1, m_k>| ~ 8 j_1 / j_k^3 for large k
+        m = coupling_matrix(50, table)
         j1 = table[(0, 1)]
         for k in (30, 50):
             jk = table[(0, k)]
-            v = abs(coupling_closed_form(1, k, table))
+            v = abs(m[0, k - 1])
             assert v == pytest.approx(8 * j1 * jk / (jk ** 2 - j1 ** 2) ** 2)
             assert v * jk ** 3 == pytest.approx(8 * j1, rel=0.05)
-
-    def test_rejects_diagonal(self, table):
-        with pytest.raises(DomainError):
-            coupling_closed_form(3, 3, table)
