@@ -100,14 +100,41 @@ class TestCoupling:
         vals = np.array([mode(k, rule.nodes, table) for k in range(1, 41)])
         quad = (vals * rule.nodes ** 3 * rule.weights) @ vals.T
         assert np.max(np.abs(m - quad)) < 1e-12
-        assert np.array_equal(m, m.T)
-        assert np.all((np.diag(m) > 0) & (np.diag(m) < 1))
 
     def test_sign_alternation(self, table):
         # sign(J_1(j_{0,k})) alternates, so coupling(1, k) alternates with k
         m = coupling_matrix(12, table)
         for k in range(2, 12):
             assert np.sign(m[0, k - 1]) == (-1) ** (k - 1)
+
+    def test_symmetry(self, table):
+        m = coupling_matrix(8, table)
+        assert m[1, 6] == m[6, 1]
+
+    def test_diagonal_in_unit_interval(self, table):
+        m = coupling_matrix(40, table)
+        for k in (1, 2, 10, 40):
+            assert 0 < m[k - 1, k - 1] < 1
+
+    def test_diagonal_closed_form(self, table, rule):
+        # <r^2 m_k, m_k> = 1/3 - 2/(3 j_k^2) via the standard J_0 moments
+        m = coupling_matrix(8, table)
+        for k in (1, 3, 8):
+            jk = table[(0, k)]
+            quad = np.sum(rule.nodes ** 3 * mode(k, rule.nodes, table) ** 2
+                          * rule.weights)
+            assert quad == pytest.approx(1.0 / 3.0 - 2.0 / (3.0 * jk ** 2),
+                                         abs=1e-12)
+            assert m[k - 1, k - 1] == pytest.approx(quad, abs=1e-12)
+
+    def test_matrix_symmetric(self, table, rule):
+        m = coupling_matrix(40, table)
+        assert np.array_equal(m, m.T)
+        assert np.all(np.diag(m) > 0)
+        for l, k in [(1, 2), (1, 5), (2, 3), (3, 9), (5, 20)]:
+            quad = np.sum(rule.nodes ** 3 * mode(l, rule.nodes, table)
+                          * mode(k, rule.nodes, table) * rule.weights)
+            assert m[k - 1, l - 1] == pytest.approx(quad, abs=1e-12)
 
     def test_decay_rate(self, table):
         # |<r^2 m_1, m_k>| ~ 8 j_1 / j_k^3 for large k
