@@ -269,8 +269,13 @@ def cmd_steer(cfg: dict, out: str) -> int:
     traj = control.radius_from_control(u)
     _write_csv(os.path.join(out, "radius.csv"), ["tau", "R"], traj.taus,
                traj.radii)
-    report.to_json(os.path.join(out, "steer_report.json"),
-                   extra={"T_star": traj.T_star})
+    steer_report = {"converged": report.converged,
+                    "iterations": report.iterations,
+                    "residual_history": [float(r) for r in report.residuals],
+                    "control_samples": [float(s) for s in u.samples],
+                    "horizon": u.T, "T_star": traj.T_star}
+    with open(os.path.join(out, "steer_report.json"), "w") as fh:
+        json.dump(steer_report, fh, indent=1)
     _write_manifest(out, "steer", cfg,
                     ["control_u.csv", "radius.csv", "steer_report.json"])
     print(f"residuals: {['%.3e' % r for r in report.residuals]}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +53,11 @@ class RadiusTrajectory:
             raise DomainError("the radius must stay strictly positive")
 
 
+def _check_coverage(K: int, sys: GalerkinSystem) -> None:
+    if not 1 <= K <= sys.N:
+        raise DomainError(f"frequency coverage K={K} must lie in 1..N={sys.N}")
+
+
 def synthesize_linearized(problem: SteeringProblem, K: int, sys: GalerkinSystem,
                           table: ZeroTable) -> ControlSignal:
     """Control v steering the linearised system from psi0 to psif in time T.
@@ -61,8 +65,7 @@ def synthesize_linearized(problem: SteeringProblem, K: int, sys: GalerkinSystem,
     K is the highest mode index covered by the moment frequencies. Nonzero
     initial data is reduced away by `problem.linear_target`.
     """
-    if K > sys.N:
-        raise DomainError("frequency coverage K cannot exceed the truncation N")
+    _check_coverage(K, sys)
     freqs = build_frequencies(table, K)
     mp = build_rhs(problem.linear_target(sys), problem.params, problem.T, sys,
                    freqs)
@@ -123,19 +126,6 @@ class SteeringReport:
     converged: bool
     iterations: int
 
-    def to_json(self, path, extra: dict | None = None) -> None:
-        payload = {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual_history": [float(r) for r in self.residuals],
-            "control_samples": [float(s) for s in self.control.samples],
-            "horizon": self.control.T,
-        }
-        if extra:
-            payload.update(extra)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-
 
 def _project_tangent(state: RadialState, packet: np.ndarray) -> RadialState:
     """Remove the Re<., packet> component so build_rhs accepts the residual."""
@@ -159,6 +149,7 @@ def steer_local(problem: SteeringProblem, iterations: int = 5, K: int = 20, *,
     """
     if iterations < 0:
         raise DomainError("iterations must be >= 0")
+    _check_coverage(K, sys)
     T = problem.T
     packet = wave_packet(problem.params, T, sys.lambdas)
     psi0 = RadialState(problem.psi0.padded(sys.N))

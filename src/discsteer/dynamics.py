@@ -264,6 +264,7 @@ def simulate_bilinear(state0: RadialState, w: ControlSignal, sys: GalerkinSystem
     """
     if steps < 2:
         raise DomainError("need at least 2 time steps")
+    c = state0.padded(sys.N)
     T = w.T
     wmax = w.max_abs()
     m_norm = float(np.linalg.norm(sys.M, 2))
@@ -278,7 +279,6 @@ def simulate_bilinear(state0: RadialState, w: ControlSignal, sys: GalerkinSystem
     w_mid = np.atleast_1d(w(t_mid))
     f_mid = None if forcing is None else np.asarray(forcing(t_mid))
 
-    c = state0.padded(sys.N)
     out = np.empty((steps + 1, sys.N), dtype=complex)
     out[0] = c
     eye = np.eye(sys.N)

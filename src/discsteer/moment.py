@@ -27,13 +27,13 @@ TANGENT_TOL = 1e-8
 
 def gamma_tilde(table: ZeroTable) -> float:
     """Within-packet gap min(j_{0,3}^2 - j_{0,2}^2, j_{0,2}^2 - j_{0,1}^2)."""
-    lam = table.lambdas(3)
-    return float(min(lam[2] - lam[1], lam[1] - lam[0]))
+    return float(np.min(np.diff(table.lambdas(3))))
 
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """Strictly increasing frequencies with their (n, p) origin tags.
+    """At least one nonnegative, strictly increasing frequency, each with its
+    (n, p) origin tag.
 
     The zero frequency carries the tag None. Origin (n, p) means
     j_{0,n}^2 - j_{0,p}^2.
@@ -44,6 +44,11 @@ class FrequencySet:
 
     def __post_init__(self):
         object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
+        if self.omegas.ndim != 1 or self.omegas.size == 0:
+            raise DomainError("a frequency set needs at least one frequency")
+        if np.any(self.omegas < 0):
+            raise DomainError("frequencies must be nonnegative; the negative "
+                              "ones come from the conjugate-symmetric extension")
         if np.any(np.diff(self.omegas) <= 0):
             raise DomainError("frequencies must be strictly increasing")
 
@@ -60,49 +65,39 @@ class FrequencySet:
 
 def build_frequencies(table: ZeroTable, n_max: int) -> FrequencySet:
     """All gap frequencies up to mode n_max, sorted with origin tags."""
-    if table.k_max < n_max:
-        raise DomainError(f"zero table covers k <= {table.k_max}, need {n_max}")
-    lam = table.lambdas(n_max)
-    entries = [(0.0, None)]
-    for p in (1, 2, 3):
-        for n in range(p + 1, n_max + 1):
-            entries.append((float(lam[n - 1] - lam[p - 1]), (n, p)))
-    entries.sort(key=lambda e: e[0])
-    omegas = np.array([e[0] for e in entries])
+    if not 1 <= n_max <= table.k_max:
+        raise DomainError(f"n_max={n_max} must lie in 1..{table.k_max}, the "
+                          "modes of the zero table")
+    lam = table.lambdas(n_max).tolist()
+    tags = [None] + [(n, p) for p in (1, 2, 3) for n in range(p + 1, n_max + 1)]
+    values = np.array([0.0] + [lam[n - 1] - lam[p - 1] for n, p in tags[1:]])
+    order = np.argsort(values, kind="stable")
+    omegas, origins = values[order], tuple(tags[i] for i in order)
     gaps = np.diff(omegas)
     if np.any(gaps <= 10 * table.tol):
         i = int(np.argmin(gaps))
         raise DomainError(
-            f"non-resonance violation: origins {entries[i][1]} and {entries[i + 1][1]} "
+            f"non-resonance violation: origins {origins[i]} and {origins[i + 1]} "
             f"collide (gap {gaps[i]:.3e})")
-    return FrequencySet(omegas=omegas, origins=tuple(e[1] for e in entries))
+    return FrequencySet(omegas=omegas, origins=origins)
 
 
-def _symmetric_extension(omegas: np.ndarray):
-    """(-omega_K .. -omega_1, [0,] omega_1 .. omega_K) and the mirror map."""
+def _extension(omegas: np.ndarray) -> np.ndarray:
+    """The solver's family (-omega_K .. -omega_1, [0,] omega_1 .. omega_K)."""
     pos = omegas[omegas > 0]
-    has_zero = bool(np.any(omegas == 0.0))
-    parts = [-pos[::-1]] + ([np.array([0.0])] if has_zero else []) + [pos]
-    ext = np.concatenate(parts)
-    mirror = np.arange(ext.size)[::-1]
-    return ext, mirror
+    return np.concatenate([-pos[::-1], omegas[omegas == 0], pos])
 
 
 def gram_matrix(freqs: FrequencySet, T: float,
                 with_time_element: bool = True) -> np.ndarray:
     """Hermitian Gram matrix of {t -> exp(-i omega t)} over the symmetric
     extension, optionally bordered by the element t -> t."""
-    ext, _ = _symmetric_extension(freqs.omegas)
-    n = ext.size + (1 if with_time_element else 0)
-    g = np.empty((n, n), dtype=complex)
-    diff = np.subtract.outer(ext, ext)
-    g[:ext.size, :ext.size] = _int_exp(diff, T)
-    if with_time_element:
-        col = _int_t_exp(ext, T)  # <t, f_j> = int t exp(i omega_j t)
-        g[:ext.size, -1] = col
-        g[-1, :ext.size] = np.conj(col)
-        g[-1, -1] = T ** 3 / 3.0
-    return g
+    ext = _extension(freqs.omegas)
+    g = _int_exp(np.subtract.outer(ext, ext), T)
+    if not with_time_element:
+        return g
+    col = _int_t_exp(ext, T)[:, None]  # <t, f_j> = int t exp(i omega_j t)
+    return np.block([[g, col], [np.conj(col).T, T ** 3 / 3.0]])
 
 
 @dataclass(frozen=True)
@@ -119,10 +114,8 @@ class MomentProblem:
         if self.d.size != self.freqs.K:
             raise DomainError("d must align with the frequency set")
         scale = max(float(np.max(np.abs(self.d))), 1.0)
-        zero_idx = np.flatnonzero(self.freqs.omegas == 0.0)
-        for i in zero_idx:
-            if abs(self.d[i].imag) > 1e-12 * scale:
-                raise DomainError("the zero-frequency moment d_0 must be real")
+        if np.any(np.abs(self.d[self.freqs.omegas == 0].imag) > 1e-12 * scale):
+            raise DomainError("the zero-frequency moment d_0 must be real")
 
 
 @dataclass(frozen=True)
@@ -138,22 +131,13 @@ def solve_moment(problem: MomentProblem,
     """Solve the truncated moment problem by minimum-norm Gram inversion.
 
     The solution is expanded over the conjugate-symmetric exponential family
-    plus t -> t, so it is real-valued by construction whenever d is extended
-    conjugate-symmetrically.
+    plus t -> t, and the data by the same rule (d_{-k} = conj(d_k), then the
+    t-moment 0), so the solution is real-valued by construction.
     """
-    T = problem.T
-    omegas = problem.freqs.omegas
-    ext, mirror = _symmetric_extension(omegas)
-    # extend the data: d_{-k} = conj(d_k)
-    pos_mask = omegas > 0
-    d_pos = problem.d[pos_mask][np.argsort(omegas[pos_mask])]
-    d_zero = problem.d[omegas == 0.0]
-    parts = [np.conj(d_pos)[::-1]] + ([d_zero.real.astype(complex)]
-                                      if d_zero.size else []) + [d_pos]
-    d_ext = np.concatenate(parts)
-
+    T, d = problem.T, problem.d
+    pos = problem.freqs.omegas > 0
+    rhs = np.concatenate([np.conj(d[pos])[::-1], d[~pos].real, d[pos], [0.0]])
     g = gram_matrix(problem.freqs, T)
-    rhs = np.concatenate([d_ext, [0.0]])
 
     eigs = linalg.eigvalsh(g)
     m_eig, big_eig = float(eigs[0]), float(eigs[-1])
@@ -171,10 +155,10 @@ def solve_moment(problem: MomentProblem,
             f"T={T}, K={problem.freqs.K}); increase T or reduce K") from None
 
     # enforce the conjugate symmetry that exact arithmetic would give
-    x_exp = x[:ext.size]
-    x_exp = 0.5 * (x_exp + np.conj(x_exp[mirror]))
+    x_exp = 0.5 * (x[:-1] + np.conj(x[-2::-1]))
     signal = ControlSignal.from_function(
-        ExpSum(ext, x_exp, [0.0, float(x[-1].real)]), T)
+        ExpSum(_extension(problem.freqs.omegas), x_exp,
+               [0.0, float(x[-1].real)]), T)
     residuals = moment_residuals(signal, problem)
     diagnostics = {
         "condition_number": float(cond),
@@ -194,8 +178,7 @@ def moment_residuals(signal: ControlSignal, problem: MomentProblem) -> np.ndarra
     of an `ExpSum`, so an error in that algebra cannot cancel against itself.
     """
     T = problem.T
-    omega_max = float(problem.freqs.omegas[-1]) if problem.freqs.K else 1.0
-    nodes, weights = _oscillatory_nodes(T, omega_max)
+    nodes, weights = _oscillatory_nodes(T, float(problem.freqs.omegas[-1]))
     w_vals = np.atleast_1d(signal(nodes))
     phases = np.exp(1j * np.multiply.outer(problem.freqs.omegas, nodes))
     moments = phases @ (weights * w_vals)
@@ -213,8 +196,6 @@ def build_rhs(psi_f: RadialState, params: TargetParams, T: float,
     lam = sys.lambdas
     n_max = max((o[0] for o in freqs.origins if o is not None), default=0)
     coeffs = psi_f.padded(sys.N)
-    if psi_f.n_modes > sys.N and np.any(psi_f.coeffs[sys.N:] != 0):
-        raise DomainError("target state exceeds the Galerkin truncation")
     if n_max < sys.N and np.any(np.abs(coeffs[n_max:]) > 0):
         raise DomainError("target has modes beyond the frequency coverage")
 
@@ -241,7 +222,6 @@ def build_rhs(psi_f: RadialState, params: TargetParams, T: float,
     d = np.zeros(freqs.K, dtype=complex)
     for i, origin in enumerate(freqs.origins):
         if origin is None:
-            d[i] = 0.0
             continue
         n, p = origin
         if (n, p) == (2, 1):

@@ -39,7 +39,11 @@ class RadialState:
         return RadialState(self.coeffs / n)
 
     def padded(self, n: int) -> np.ndarray:
-        """Coefficients zero-extended (or truncated) to length n."""
+        """Coefficients zero-extended to length n, or cut to it where only
+        zeros are cut; a nonzero mode beyond n raises `DomainError`."""
+        if np.any(self.coeffs[n:] != 0):
+            raise DomainError("the state has a nonzero mode beyond the "
+                              f"truncation N={n}")
         out = np.zeros(n, dtype=complex)
         m = min(n, self.n_modes)
         out[:m] = self.coeffs[:m]

@@ -250,6 +250,15 @@ def test_steer_steps_flag(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["steps"] == 64
     assert set(manifest["input_hashes"]) == {"psi0", "psif"}
+    # the report: the Newton history, the control and the radius horizon
+    report = json.loads((out / "steer_report.json").read_text())
+    assert list(report) == ["converged", "iterations", "residual_history",
+                            "control_samples", "horizon", "T_star"]
+    assert report["converged"] is False and report["iterations"] == 0
+    assert len(report["residual_history"]) == 1
+    assert report["control_samples"] == [0.0] * 2049
+    assert report["horizon"] == 1.0
+    assert report["T_star"] == pytest.approx(0.25, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -276,6 +285,37 @@ def test_steer_needs_a_mode(tmp_path, capsys):
                         str(state), "--psif", str(state),
                         "--out", str(tmp_path / "o")],
                        capsys, "N >= 1")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("synthesize", ["--K", "10", "--psif", "STATE"]),
+    ("simulate", ["--steps", "16", "--state0", "STATE"]),
+    ("steer", ["--K", "10", "--iterations", "0", "--steps", "64",
+               "--psi0", "STATE", "--psif", "STATE"]),
+])
+def test_modes_beyond_n(tmp_path, capsys, command, flags):
+    # a 40-mode state at N = 10: mode 31 cannot be dropped silently
+    c = np.zeros(40, dtype=complex)
+    c[[3, 30]] = 1e-3
+    state = tmp_path / "state.json"
+    RadialState(c).to_json(state)
+    flags = [str(state) if f == "STATE" else f for f in flags]
+    assert usage_error([command, "--N", "10", *flags,
+                        "--out", str(tmp_path / "o")],
+                       capsys, "beyond the truncation N=10")
+
+
+@pytest.mark.parametrize("command, K", [("synthesize", "-5"), ("synthesize", "0"),
+                                        ("steer", "-2"), ("steer", "7")])
+def test_coverage_outside_one_to_n(tmp_path, capsys, command, K):
+    state = tmp_path / "state.json"
+    RadialState(np.eye(1, 6, 0)[0].astype(complex)).to_json(state)
+    steer_only = ["--iterations", "0", "--steps", "64"] if command == "steer" \
+        else []
+    assert usage_error([command, "--N", "6", "--K", K, *steer_only,
+                        "--psi0", str(state), "--psif", str(state),
+                        "--out", str(tmp_path / "o")],
+                       capsys, "must lie in 1..N=6")
 
 
 @pytest.mark.parametrize("k", ["1", "2", "3"])

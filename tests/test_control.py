@@ -116,6 +116,13 @@ class TestSynthesizeLinearized:
         ts = np.linspace(0, T, 301)
         assert np.max(np.abs(v2(ts) - 2 * v1(ts))) < 1e-10 * v1.max_abs() + 1e-14
 
+    @pytest.mark.parametrize("K", [0, -5, 41])
+    def test_rejects_coverage_outside_truncation(self, table, sys40, params, K):
+        zero = RadialState(np.zeros(40, dtype=complex))
+        prob = SteeringProblem(params=params, T=1.0, psi0=zero, psif=zero)
+        with pytest.raises(DomainError, match=r"must lie in 1\.\.N=40"):
+            synthesize_linearized(prob, K, sys=sys40, table=table)
+
     def test_hits_target(self, table, sys40, params, rng):
         T = 1.0
         target = tangent_target(params, T, sys40.lambdas, 40, 10, rng)
@@ -251,15 +258,18 @@ class TestSteerLocal:
         with pytest.raises(DomainError):
             steer_local(prob, iterations=-1, sys=sys40, table=table)
 
-    def test_report_serialization(self, table, sys40, params, tmp_path):
-        T = 1.0
-        psi0 = RadialState(params.weights()).normalize()
-        psif = free_evolution(RadialState(psi0.padded(40)), T, sys40.lambdas)
-        prob = SteeringProblem(params=params, T=T, psi0=psi0, psif=psif)
-        report = steer_local(prob, iterations=1, K=10, sys=sys40, table=table,
-                             steps=2 ** 13)
-        report.to_json(tmp_path / "report.json", extra={"note": 1})
-        assert (tmp_path / "report.json").exists()
+    @pytest.mark.parametrize("K", [-2, 0, 41])
+    def test_rejects_coverage_before_simulating(self, table, sys40, params,
+                                                monkeypatch, K):
+        import discsteer.control as control_module
+        calls = []
+        monkeypatch.setattr(control_module, "endpoint_map",
+                            lambda *args, **kwargs: calls.append(args))
+        zero = RadialState(np.zeros(40, dtype=complex))
+        prob = SteeringProblem(params=params, T=1.0, psi0=zero, psif=zero)
+        with pytest.raises(DomainError, match=r"must lie in 1\.\.N=40"):
+            steer_local(prob, K=K, sys=sys40, table=table)
+        assert calls == []
 
 
 class TestRadius:

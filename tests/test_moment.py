@@ -45,6 +45,21 @@ class TestFrequencySet:
         with pytest.raises(DomainError):
             FrequencySet(omegas=[0.0, 1.0, 1.0], origins=(None, (2, 1), (3, 1)))
 
+    def test_rejects_negative(self):
+        # the negative frequencies are the extension's, never the set's
+        with pytest.raises(DomainError, match="nonnegative"):
+            FrequencySet(omegas=[-30.0, 0.0, 25.0, 60.0],
+                         origins=(None, None, (2, 1), (3, 1)))
+
+    def test_rejects_empty(self):
+        with pytest.raises(DomainError, match="at least one"):
+            FrequencySet(omegas=[], origins=())
+
+    @pytest.mark.parametrize("n_max", [0, -5, 65])
+    def test_build_rejects_mode_count_outside_table(self, table, n_max):
+        with pytest.raises(DomainError, match="must lie in 1..64"):
+            build_frequencies(table, n_max)
+
     def test_truncate(self, table):
         freqs = build_frequencies(table, 8)
         assert freqs.truncate(5).K == 5

@@ -21,7 +21,10 @@ class TestRadialState:
     def test_padded(self):
         s = RadialState([1.0, 2.0])
         assert np.array_equal(s.padded(4), [1, 2, 0, 0])
-        assert np.array_equal(s.padded(1), [1])
+        assert np.array_equal(RadialState([1.0, 2.0, 0.0]).padded(2), [1, 2])
+        # a cut may only drop zeros
+        with pytest.raises(DomainError, match="beyond the truncation N=1"):
+            s.padded(1)
 
     def test_json_round_trip(self, tmp_path):
         s = RadialState([1 + 2j, -0.5])
