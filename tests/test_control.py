@@ -1,5 +1,7 @@
 """Synthesis end-to-end, endpoint map, local steering and the radius map."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from discsteer import (ControlSignal, ExpSum, GalerkinSystem, MomentProblem,
                        map_fixed_to_disc, radius_from_control,
                        simulate_linearized, solve_moment, steer_local,
                        synthesize_linearized)
+from discsteer.cli import main
 from discsteer.errors import AdmissibilityError, DomainError
 from test_dynamics import panel_quadrature
 
@@ -257,6 +260,27 @@ class TestSteerLocal:
         prob = SteeringProblem(params=params, T=1.0, psi0=zero, psif=zero)
         with pytest.raises(DomainError):
             steer_local(prob, iterations=-1, sys=sys40, table=table)
+
+    def test_report_serialization(self, table, sys40, params, tmp_path):
+        # the steer command's report holds steer_local's report, unrounded
+        T = 1.0
+        psi0 = RadialState(params.weights()).normalize()
+        psif = free_evolution(RadialState(psi0.padded(40)), T, sys40.lambdas)
+        prob = SteeringProblem(params=params, T=T, psi0=psi0, psif=psif)
+        report = steer_local(prob, iterations=1, K=10, sys=sys40, table=table,
+                             steps=2 ** 13)
+        psi0.to_json(tmp_path / "psi0.json")
+        psif.to_json(tmp_path / "psif.json")
+        out = tmp_path / "steer"
+        main(["steer", "--N", "40", "--K", "10", "--iterations", "1",
+              "--steps", str(2 ** 13), "--psi0", str(tmp_path / "psi0.json"),
+              "--psif", str(tmp_path / "psif.json"), "--out", str(out)])
+        written = json.loads((out / "steer_report.json").read_text())
+        assert written["converged"] is report.converged
+        assert written["iterations"] == report.iterations
+        assert written["residual_history"] == report.residuals
+        assert written["control_samples"] == list(report.control.samples)
+        assert written["horizon"] == report.control.T == T
 
     @pytest.mark.parametrize("K", [-2, 0, 41])
     def test_rejects_coverage_before_simulating(self, table, sys40, params,
