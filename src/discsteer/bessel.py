@@ -82,6 +82,15 @@ class ZeroTable:
             raise DomainError(f"zero table {path} is malformed ({exc!r})") from None
         if not zeros:
             raise DomainError(f"zero table {path} holds no zeros")
+        # JSON gives exact types: a bool is not an int here, nor a string a number
+        for (nu, k), v in zeros.items():
+            if not (type(nu) is int and nu >= 0 and type(k) is int and k >= 1
+                    and type(v) in (int, float) and 0 < v < np.inf):
+                raise DomainError(f"zero table {path}: entry nu={nu!r}, k={k!r}, "
+                                  f"value={v!r} needs integers nu >= 0, k >= 1 "
+                                  f"and a finite positive value")
+        if not (type(tol) in (int, float) and 0 < tol <= 1e-6):
+            raise DomainError(f"zero table {path}: tol={tol!r} must lie in (0, 1e-6]")
         nu_max = max(nu for nu, _ in zeros)
         k_max = max(k for _, k in zeros)
         return cls(nu_max=nu_max, k_max=k_max, zeros=zeros, tol=tol)

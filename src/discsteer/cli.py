@@ -1,7 +1,8 @@
 """Command-line surface: zeros, verify, synthesize, simulate, steer, radius.
 
-Exit status: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical failure (conditioning or divergence).
+Each command returns its exit code and the names of the files it wrote;
+`main` then writes the manifest. Exit status: 0 success, 1 verification
+failure, 2 usage/config error, 3 numerical failure (conditioning or divergence).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 import scipy
 
 from . import __version__, bessel, control, dynamics, moment, spectral
-from .errors import (AdmissibilityError, ConditioningError, ConvergenceError,
-                     DiscSteerError, DomainError)
+from .errors import (ConditioningError, ConvergenceError, DiscSteerError,
+                     DomainError)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -27,11 +28,8 @@ EXIT_NUMERICAL = 3
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _load_config(path) -> dict:
@@ -68,30 +66,34 @@ def _require(cfg: dict, *keys) -> None:
             raise DomainError(f"--{key} is required")
 
 
-def _write_manifest(out_dir, command: str, cfg: dict, outputs: list) -> None:
-    """Record the settings, the hashes of the input files (the settings that
-    default to None), the outputs and the library versions."""
-    _, _, defaults = COMMANDS[command]
-    inputs = [name for name, default in defaults.items() if default is None]
-    manifest = {
-        "command": command,
-        "config": cfg,
-        "input_hashes": {name: _sha256(cfg[name]) for name in inputs
-                         if cfg[name] and os.path.exists(cfg[name])},
-        "outputs": outputs,
-        "versions": {"discsteer": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+def _write_json(out, name: str, obj, **kw) -> str:
+    with open(os.path.join(out, name), "w") as fh:
+        json.dump(obj, fh, indent=1, **kw)
+    return name
 
 
-def _write_csv(path, header, xs, ys) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_csv(out, name: str, header, rows) -> str:
+    with open(os.path.join(out, name), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for x, y in zip(xs, ys):
-            writer.writerow([f"{x:.16e}", f"{y:.16e}"])
+        writer.writerows(rows)
+    return name
+
+
+def _columns(xs, ys):
+    return ([f"{x:.16e}", f"{y:.16e}"] for x, y in zip(xs, ys))
+
+
+def _write_manifest(out, command: str, cfg: dict, outputs: list) -> None:
+    """Record the settings, the hashes of the input files (the settings that
+    default to None), the outputs and the library versions."""
+    inputs = [name for name, default in COMMANDS[command][2].items()
+              if default is None and cfg[name] and os.path.exists(cfg[name])]
+    _write_json(out, "manifest.json", {
+        "command": command, "config": cfg, "outputs": outputs,
+        "input_hashes": {name: _sha256(cfg[name]) for name in inputs},
+        "versions": {"discsteer": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__}}, sort_keys=True)
 
 
 def _read_control_csv(path) -> dynamics.ControlSignal:
@@ -109,88 +111,78 @@ def _read_control_csv(path) -> dynamics.ControlSignal:
     return dynamics.ControlSignal(samples=v, T=float(t[-1]))
 
 
-def cmd_zeros(cfg: dict, out: str) -> int:
+def cmd_zeros(cfg: dict, out: str) -> tuple[int, list]:
     table = bessel.compute_zeros(cfg["nu"], cfg["k"], cfg["tol"])
     path = os.path.join(out, "zeros.json")
     table.to_json(path)
-    _write_manifest(out, "zeros", cfg, ["zeros.json"])
     print(f"wrote {path} ({len(table.zeros)} zeros)")
-    return EXIT_OK
+    return EXIT_OK, [os.path.basename(path)]
+
+
+def _check(value, bound, ok) -> dict:
+    return {"value": float(value), "bound": bound, "ok": bool(ok)}
 
 
 def _verify_checks(table: bessel.ZeroTable) -> dict:
+    """Each check's measured value, bound and verdict, the details behind
+    them, and `all_ok`, the conjunction of every check."""
     if table.k_max < 4:
         raise DomainError(f"verify needs a zero table with k_max >= 4, because "
                           f"the coupling bounds start at k=4 (k_max={table.k_max})")
     rule = bessel.gauss_legendre_rule(256)
-    report = {}
+    checks = {}
 
     # zero certification
-    residuals = [abs(bessel.bessel_j(nu, z)) for (nu, _), z in table.zeros.items()]
-    report["zero_residual_max"] = float(max(residuals))
-    report["zeros_certified"] = report["zero_residual_max"] <= 10 * table.tol
+    residual = max(abs(bessel.bessel_j(nu, z)) for (nu, _), z in table.zeros.items())
+    checks["zero_residual"] = _check(residual, 10 * table.tol,
+                                     residual <= 10 * table.tol)
 
     # orthogonality of the normalised modes
     kk = min(table.k_max, 30)
     vals = np.array([spectral.mode(k, rule.nodes, table) for k in range(1, kk + 1)])
-    gram = (vals * rule.nodes * rule.weights) @ vals.T
-    off = gram - np.eye(kk)
-    report["orthogonality_residual_max"] = float(np.max(np.abs(off)))
-    report["orthogonality_ok"] = report["orthogonality_residual_max"] <= 1e-9
-    if not report["orthogonality_ok"]:
-        worst = np.unravel_index(np.argmax(np.abs(off)), off.shape)
-        report["orthogonality_worst_pair"] = [int(worst[0]) + 1, int(worst[1]) + 1]
+    off = np.abs((vals * rule.nodes * rule.weights) @ vals.T - np.eye(kk))
+    worst = np.unravel_index(np.argmax(off), off.shape)
+    checks["orthogonality"] = _check(off.max(), 1e-9, off.max() <= 1e-9)
 
-    # the program's closed-form coupling matrix against quadrature
+    # the program's closed-form coupling matrix against quadrature, on the
+    # first 20 of those modes
     kk = min(table.k_max, 20)
-    vals = np.array([spectral.mode(k, rule.nodes, table) for k in range(1, kk + 1)])
-    quad = (vals * rule.nodes ** 3 * rule.weights) @ vals.T
-    worst = float(np.max(np.abs(spectral.coupling_matrix(kk, table) - quad)))
-    report["coupling_identity_residual_max"] = worst
-    report["coupling_identity_ok"] = worst <= 1e-9
+    quad = (vals[:kk] * rule.nodes ** 3 * rule.weights) @ vals[:kk].T
+    residual = np.max(np.abs(spectral.coupling_matrix(kk, table) - quad))
+    checks["coupling_identity"] = _check(residual, 1e-9, residual <= 1e-9)
+
+    # Gram conditioning at the guaranteed horizon
+    freqs = moment.build_frequencies(table, min(table.k_max, 12)).truncate(30)
+    horizon = 2 * np.pi / moment.gamma_tilde(table)
+    eigs = np.linalg.eigvalsh(moment.gram_matrix(freqs, horizon))
+    cond = eigs[-1] / eigs[0] if eigs[0] > 0 else np.inf
+    checks["gram_condition"] = _check(cond, 1e8, cond < 1e8)
 
     # coupling magnitude bounds j_k^3 |coupling(p, k)|, p = 1..3, k = 4..kk
     kk = min(table.k_max, 40)
-    m = spectral.coupling_matrix(kk, table)
-    scaled = table.row(0)[3:kk] ** 3 * np.abs(m[:3, 3:])
-    bounds = {f"p{p}": {"min": float(v.min()), "max": float(v.max())}
-              for p, v in enumerate(scaled, start=1)}
-    report["coupling_bounds"] = bounds
-    report["coupling_bounds_ok"] = all(b["min"] > 0 for b in bounds.values())
+    scaled = table.row(0)[3:kk] ** 3 * np.abs(spectral.coupling_matrix(kk, table)[:3, 3:])
+    checks["coupling_bounds"] = _check(scaled.min(), 0.0, scaled.min() > 0)
 
     # non-resonance
     gap = moment.build_frequencies(table, min(table.k_max, 200)).min_gap()
-    report["nonresonance_min_gap"] = gap
-    report["nonresonance_ok"] = gap > 1e-6
+    checks["nonresonance"] = _check(gap, 1e-6, gap > 1e-6)
 
-    # Gram conditioning at the guaranteed horizon
-    gt = moment.gamma_tilde(table)
-    freqs = moment.build_frequencies(table, min(table.k_max, 12)).truncate(30)
-    g = moment.gram_matrix(freqs, 2 * np.pi / gt)
-    eigs = np.linalg.eigvalsh(g)
-    report["gram_min_eig"] = float(eigs[0])
-    report["gram_max_eig"] = float(eigs[-1])
-    report["gram_condition"] = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else np.inf
-    report["gram_ok"] = eigs[0] > 0 and report["gram_condition"] < 1e8
-
-    report["all_ok"] = all(report[k] for k in report if k.endswith("_ok"))
-    return report
+    return {"checks": checks,
+            "coupling_bounds": {f"p{p}": {"min": float(v.min()), "max": float(v.max())}
+                                for p, v in enumerate(scaled, start=1)},
+            "gram_min_eig": float(eigs[0]), "gram_max_eig": float(eigs[-1]),
+            "orthogonality_worst_pair": [int(worst[0]) + 1, int(worst[1]) + 1],
+            "all_ok": all(c["ok"] for c in checks.values())}
 
 
-def cmd_verify(cfg: dict, out: str) -> int:
-    if cfg["table"]:
-        table = bessel.ZeroTable.from_json(cfg["table"])
-    else:
-        table = bessel.compute_zeros(0, cfg["k"], cfg["tol"])
-    report = _verify_checks(table)
-    path = os.path.join(out, "verify_report.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-    _write_manifest(out, "verify", cfg, ["verify_report.json"])
-    for key in sorted(report):
-        if key.endswith("_ok"):
-            print(f"{'PASS' if report[key] else 'FAIL'} {key[:-3]}")
-    return EXIT_OK if report["all_ok"] else EXIT_VERIFY
+def cmd_verify(cfg: dict, out: str) -> tuple[int, list]:
+    report = _verify_checks(bessel.ZeroTable.from_json(cfg["table"]) if cfg["table"]
+                            else bessel.compute_zeros(0, cfg["k"], cfg["tol"]))
+    name = _write_json(out, "verify_report.json", report, sort_keys=True)
+    for key, c in report["checks"].items():
+        print(f"{'PASS' if c['ok'] else 'FAIL'} {key} {c['value']:.3e} "
+              f"(bound {c['bound']:.1e})")
+    return (EXIT_OK if report["all_ok"] else EXIT_VERIFY), [name]
 
 
 def _setup_system(N: int, K: int):
@@ -200,7 +192,7 @@ def _setup_system(N: int, K: int):
     return table, dynamics.GalerkinSystem.build(N, table)
 
 
-def cmd_synthesize(cfg: dict, out: str) -> int:
+def cmd_synthesize(cfg: dict, out: str) -> tuple[int, list]:
     _require(cfg, "psif")
     table, sys_ = _setup_system(cfg["N"], cfg["K"])
     params = spectral.TargetParams(cfg["theta2"], cfg["theta3"])
@@ -213,85 +205,67 @@ def cmd_synthesize(cfg: dict, out: str) -> int:
     endpoint = dynamics.simulate_linearized(v, params, sys_)
     target = problem.linear_target(sys_)
     err = float(np.linalg.norm(endpoint.coeffs - target.coeffs))
-    _write_csv(os.path.join(out, "control_v.csv"), ["t", "v"], v.grid, v.samples)
-    report = {"endpoint_error": err,
-              "target_norm": target.l2_norm(),
-              "control_max": v.max_abs()}
-    with open(os.path.join(out, "synthesize_report.json"), "w") as fh:
-        json.dump(report, fh, indent=1)
-    _write_manifest(out, "synthesize", cfg,
-                    ["control_v.csv", "synthesize_report.json"])
+    outputs = [
+        _write_csv(out, "control_v.csv", ["t", "v"], _columns(v.grid, v.samples)),
+        _write_json(out, "synthesize_report.json",
+                    {"endpoint_error": err, "target_norm": target.l2_norm(),
+                     "control_max": v.max_abs()})]
     print(f"endpoint error {err:.3e} (target norm {target.l2_norm():.3e})")
-    return EXIT_OK
+    return EXIT_OK, outputs
 
 
-def cmd_simulate(cfg: dict, out: str) -> int:
+def cmd_simulate(cfg: dict, out: str) -> tuple[int, list]:
     _require(cfg, "state0")
     _, sys_ = _setup_system(cfg["N"], 0)
     state0 = spectral.RadialState.from_json(cfg["state0"])
-    if cfg["control"]:
-        w = control.potential(_read_control_csv(cfg["control"]))
-    else:
-        w = dynamics.ControlSignal.zero(1.0)
+    w = control.potential(_read_control_csv(cfg["control"])) if cfg["control"] \
+        else dynamics.ControlSignal.zero(1.0)
     result = dynamics.simulate_bilinear(state0, w, sys_, steps=cfg["steps"])
-    traj_path = os.path.join(out, "trajectory.csv")
     stride = max(1, result.times.size // 1024)
-    with open(traj_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "k", "re", "im"])
-        for i in range(0, result.times.size, stride):
-            for k in range(sys_.N):
-                c = result.states[i, k]
-                writer.writerow([f"{result.times[i]:.12e}", k + 1,
-                                 f"{c.real:.12e}", f"{c.imag:.12e}"])
+    rows = ([f"{result.times[i]:.12e}", k + 1, f"{c.real:.12e}", f"{c.imag:.12e}"]
+            for i in range(0, result.times.size, stride)
+            for k, c in enumerate(result.states[i, :sys_.N]))
     run = {"N": sys_.N, "steps": cfg["steps"], "T": w.T,
            "norm_drift": result.norm_drift()}
-    with open(os.path.join(out, "run.json"), "w") as fh:
-        json.dump(run, fh, indent=1)
-    _write_manifest(out, "simulate", cfg, ["trajectory.csv", "run.json"])
+    outputs = [_write_csv(out, "trajectory.csv", ["t", "k", "re", "im"], rows),
+               _write_json(out, "run.json", run)]
     print(f"norm drift {run['norm_drift']:.3e}")
-    return EXIT_OK
+    return EXIT_OK, outputs
 
 
-def cmd_steer(cfg: dict, out: str) -> int:
+def cmd_steer(cfg: dict, out: str) -> tuple[int, list]:
     _require(cfg, "psi0", "psif")
     table, sys_ = _setup_system(cfg["N"], cfg["K"])
-    params = spectral.TargetParams(cfg["theta2"], cfg["theta3"])
     problem = control.SteeringProblem(
-        params=params, T=cfg["T"],
+        params=spectral.TargetParams(cfg["theta2"], cfg["theta3"]), T=cfg["T"],
         psi0=spectral.RadialState.from_json(cfg["psi0"]),
         psif=spectral.RadialState.from_json(cfg["psif"]))
     report = control.steer_local(problem, iterations=cfg["iterations"],
                                  K=cfg["K"], sys=sys_, table=table,
                                  steps=cfg["steps"])
     u = report.control
-    _write_csv(os.path.join(out, "control_u.csv"), ["t", "u"], u.grid, u.samples)
     traj = control.radius_from_control(u)
-    _write_csv(os.path.join(out, "radius.csv"), ["tau", "R"], traj.taus,
-               traj.radii)
     steer_report = {"converged": report.converged,
                     "iterations": report.iterations,
                     "residual_history": [float(r) for r in report.residuals],
                     "control_samples": [float(s) for s in u.samples],
                     "horizon": u.T, "T_star": traj.T_star}
-    with open(os.path.join(out, "steer_report.json"), "w") as fh:
-        json.dump(steer_report, fh, indent=1)
-    _write_manifest(out, "steer", cfg,
-                    ["control_u.csv", "radius.csv", "steer_report.json"])
+    outputs = [
+        _write_csv(out, "control_u.csv", ["t", "u"], _columns(u.grid, u.samples)),
+        _write_csv(out, "radius.csv", ["tau", "R"], _columns(traj.taus, traj.radii)),
+        _write_json(out, "steer_report.json", steer_report)]
     print(f"residuals: {['%.3e' % r for r in report.residuals]}")
-    return EXIT_OK if report.converged else EXIT_NUMERICAL
+    return (EXIT_OK if report.converged else EXIT_NUMERICAL), outputs
 
 
-def cmd_radius(cfg: dict, out: str) -> int:
+def cmd_radius(cfg: dict, out: str) -> tuple[int, list]:
     _require(cfg, "control")
-    u = _read_control_csv(cfg["control"])
-    traj = control.radius_from_control(u)
-    _write_csv(os.path.join(out, "radius.csv"), ["tau", "R"], traj.taus,
-               traj.radii)
-    _write_manifest(out, "radius", cfg, ["radius.csv"])
+    traj = control.radius_from_control(_read_control_csv(cfg["control"]))
+    name = _write_csv(out, "radius.csv", ["tau", "R"],
+                      _columns(traj.taus, traj.radii))
     print(f"T* = {traj.T_star:.6f}, R in [{traj.radii.min():.6f}, "
           f"{traj.radii.max():.6f}]")
-    return EXIT_OK
+    return EXIT_OK, [name]
 
 
 # Each subcommand's settings, declared once as name -> default. Every
@@ -346,12 +320,13 @@ def main(argv=None) -> int:
         cfg = _effective(defaults, _load_config(args.config), vars(args))
         out = args.out or "."
         os.makedirs(out, exist_ok=True)
-        return func(cfg, out)
+        code, outputs = func(cfg, out)
+        _write_manifest(out, args.command, cfg, outputs)
+        return code
     except (ConditioningError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DomainError, AdmissibilityError, DiscSteerError, OSError,
-            ValueError) as exc:
+    except (DiscSteerError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,6 +5,7 @@ that breaks it must fail here first.
 """
 
 import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -19,13 +20,18 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 @pytest.fixture(scope="module")
 def bench_modules():
+    # sweep.py sets the BLAS thread variables and prepends src/ at import
+    environ, path = dict(os.environ), list(sys.path)
     sys.path.insert(0, str(BENCH))
     try:
+        import sweep
         import tracing
         import workloads
-        yield workloads, tracing
     finally:
-        sys.path.remove(str(BENCH))
+        os.environ.clear()
+        os.environ.update(environ)
+        sys.path[:] = path
+    return workloads, tracing, sweep
 
 
 def test_solve_moment_keeps_cond_limit():
@@ -34,7 +40,7 @@ def test_solve_moment_keeps_cond_limit():
 
 
 def test_workloads_run_under_the_tracer(bench_modules):
-    workloads, tracing = bench_modules
+    workloads, tracing, _ = bench_modules
     originals = {(home, attr): getattr(getattr(discsteer, home), attr)
                  for home, attr, _ in tracing.FUNCTIONS}
     tracer = tracing.Tracer(discsteer)
@@ -59,3 +65,19 @@ def test_workloads_run_under_the_tracer(bench_modules):
             "dynamics.simulate_bilinear"} <= names
     for (home, attr), fn in originals.items():
         assert getattr(getattr(discsteer, home), attr) is fn
+
+
+def test_sweep_runs_on_the_package(bench_modules):
+    _, _, sweep = bench_modules
+    # the smallest horizon that keeps the Gram matrix under cond_limit
+    gram = sweep.gram_sizes(discsteer.compute_zeros(0, 40))
+    assert sorted(gram) == [10, 20, 40]
+    for k, row in gram.items():
+        assert 0.2 < row["min_T"] < 0.21, (k, row)
+    # galerkin_sizes passes steps by position
+    table = discsteer.compute_zeros(0, 5)
+    with pytest.warns(UserWarning, match="resolution"):
+        result = discsteer.dynamics.simulate_bilinear(
+            discsteer.RadialState(np.eye(5)[0]), discsteer.ControlSignal.zero(1.0),
+            discsteer.GalerkinSystem.build(5, table), 8)
+    assert result.times.size == 9

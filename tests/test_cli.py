@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from discsteer import RadialState
+from discsteer import RadialState, compute_zeros
 from discsteer.errors import DomainError
 from discsteer.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            _effective, main)
@@ -57,6 +57,24 @@ def test_verify_table_entry_without_value(tmp_path, capsys):
                                  "zeros": [{"nu": 0, "k": 1}]}))
     assert usage_error(["verify", "--table", str(table),
                         "--out", str(tmp_path / "v")], capsys)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("value", None), ("value", "NaN"), ("value", float("nan")), ("value", [1]),
+    ("value", 0.0), ("nu", -1), ("k", 0), ("k", True), ("tol", "x"),
+    ("tol", None), ("tol", -1.0), ("tol", 1e-3)])
+def test_verify_rejects_malformed_table(tmp_path, capsys, field, value):
+    # a valid four-zero table with one field replaced
+    table = tmp_path / "zeros.json"
+    compute_zeros(0, 4).to_json(table)
+    payload = json.loads(table.read_text())
+    if field == "tol":
+        payload["tol"] = value
+    else:
+        payload["zeros"][0][field] = value
+    table.write_text(json.dumps(payload))
+    assert usage_error(["verify", "--table", str(table),
+                        "--out", str(tmp_path / "v")], capsys, f"{field}=")
 
 
 def test_no_command_is_usage_error():
@@ -122,8 +140,8 @@ def test_verify_passes(tmp_path):
     assert code == EXIT_OK
     report = json.loads((out / "verify_report.json").read_text())
     assert report["all_ok"]
-    assert report["zero_residual_max"] <= 1e-11
-    assert report["nonresonance_min_gap"] > 1e-6
+    assert report["checks"]["zero_residual"]["value"] <= 1e-11
+    assert report["checks"]["nonresonance"]["value"] > 1e-6
 
 
 def test_verify_tol_flag(tmp_path):
@@ -134,19 +152,21 @@ def test_verify_tol_flag(tmp_path):
     assert manifest["config"]["tol"] == 1e-10
 
 
-def test_verify_detects_corrupt_table(tmp_path):
-    # perturb one tabulated zero: certification must fail with exit code 1
+@pytest.mark.parametrize("shift", [1e-4, 1e-10])
+def test_verify_detects_corrupt_table(tmp_path, shift):
+    # perturb one tabulated zero: certification must fail with exit code 1,
+    # also when only the zero residual (2.3e-11 against 1e-11) shows it
     out = tmp_path / "good"
     main(["zeros", "--k", "12", "--out", str(out)])
     payload = json.loads((out / "zeros.json").read_text())
-    payload["zeros"][3]["value"] += 1e-4
+    payload["zeros"][3]["value"] += shift
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     code = main(["verify", "--k", "12", "--table", str(bad),
                  "--out", str(tmp_path / "vr")])
     assert code == EXIT_VERIFY
     report = json.loads((tmp_path / "vr" / "verify_report.json").read_text())
-    assert not report["zeros_certified"]
+    assert not report["checks"]["zero_residual"]["ok"]
 
 
 def test_synthesize_requires_target(tmp_path):
@@ -341,3 +361,30 @@ def test_non_finite_horizon(tmp_path, capsys, command, T):
                         "--psi0", str(state), "--psif", str(state),
                         "--out", str(tmp_path / "o")],
                        capsys, "finite and positive")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("zeros", ["--k", "4"]),
+    ("verify", ["--k", "4"]),
+    ("synthesize", ["--N", "6", "--K", "4", "--psif", "STATE"]),
+    ("simulate", ["--N", "6", "--steps", "64", "--state0", "STATE"]),
+    ("steer", ["--N", "6", "--K", "4", "--iterations", "0", "--steps", "64",
+               "--psi0", "STATE", "--psif", "STATE"]),
+    ("radius", ["--control", "CONTROL"]),
+])
+def test_manifest_lists_every_output(tmp_path, command, flags):
+    # the manifest names each file the command wrote, once, and no other
+    c = np.zeros(6, dtype=complex)
+    c[3] = 1e-3
+    inputs = {"STATE": tmp_path / "state.json", "CONTROL": tmp_path / "u.csv"}
+    RadialState(c).to_json(inputs["STATE"])
+    ts = np.linspace(0, 1, 65)
+    inputs["CONTROL"].write_text("t,u\n" + "".join(
+        f"{t:.16e},{0.01 * np.sin(2 * np.pi * t):.16e}\n" for t in ts))
+    out = tmp_path / "o"
+    code = main([command, *[str(inputs.get(f, f)) for f in flags],
+                 "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_NUMERICAL)  # steer: zero iterations
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(outputs) == sorted(p.name for p in out.iterdir()
+                                     if p.name != "manifest.json")
