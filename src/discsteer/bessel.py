@@ -61,8 +61,10 @@ class ZeroTable:
         return np.array([self[(nu, k)] for k in range(1, self.k_max + 1)])
 
     def lambdas(self, count: int | None = None) -> np.ndarray:
-        """Radial Dirichlet eigenvalues lambda_k = j_{0,k}^2."""
+        """Radial Dirichlet eigenvalues lambda_k = j_{0,k}^2, k <= count."""
         n = self.k_max if count is None else count
+        if n > self.k_max:
+            raise DomainError(f"{n} eigenvalues need k_max >= {n}, got {self.k_max}")
         return self.row(0)[:n] ** 2
 
     def to_json(self, path) -> None:
@@ -93,6 +95,9 @@ class ZeroTable:
             raise DomainError(f"zero table {path}: tol={tol!r} must lie in (0, 1e-6]")
         nu_max = max(nu for nu, _ in zeros)
         k_max = max(k for _, k in zeros)
+        if len(zeros) != len(payload["zeros"]) or len(zeros) != (nu_max + 1) * k_max:
+            raise DomainError(f"zero table {path}: every (nu, k) with nu <= {nu_max} "
+                              f"and k <= {k_max} must appear exactly once")
         return cls(nu_max=nu_max, k_max=k_max, zeros=zeros, tol=tol)
 
 

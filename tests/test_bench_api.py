@@ -67,6 +67,43 @@ def test_workloads_run_under_the_tracer(bench_modules):
         assert getattr(getattr(discsteer, home), attr) is fn
 
 
+@pytest.mark.filterwarnings("ignore:steps=.*resolution heuristic")
+def test_steer_and_propagate_run_under_the_tracer(bench_modules):
+    # the bilinear paths (forcing, endpoint_map, steer_local, the radius
+    # round trip) at reduced sizes, through every method the runner calls
+    workloads, tracing, _ = bench_modules
+
+    class Steer(workloads.Steer):
+        N, K, steps = 8, 6, 256
+
+    class Propagate(workloads.Propagate):
+        N, steps = 8, 64
+
+    tracer = tracing.Tracer(discsteer)
+    tracer.install()
+    try:
+        results = {}
+        for w in (Steer(), Propagate()):
+            ctx = w.setup()
+            w.prepare(ctx)
+            inp = w.make_input(ctx, np.random.default_rng(7), 0)
+            out = w.run(ctx, inp)
+            values, ok = w.check(ctx, inp, out)
+            results[w.name] = values, ok, w.reference(ctx, inp, w.keep(out))
+    finally:
+        tracer.uninstall()
+    # the reduced steer run misses its Newton bound, so only propagate's
+    # verdict is asserted
+    assert results["propagate"][1]
+    for values, _, ref in results.values():
+        assert all(np.all(np.isfinite(v)) for d in (values, ref)
+                   for v in d.values()), (values, ref)
+    names = {span[0] for span in tracer.spans}
+    assert {"control.steer_local", "control.endpoint_map",
+            "control.radius_from_control", "control.control_from_radius",
+            "dynamics.simulate_bilinear"} <= names
+
+
 def test_sweep_runs_on_the_package(bench_modules):
     _, _, sweep = bench_modules
     # the smallest horizon that keeps the Gram matrix under cond_limit

@@ -107,6 +107,11 @@ class TestZeroTable:
     def test_lambdas(self, table):
         lam = table.lambdas(3)
         assert np.allclose(lam, table.row(0)[:3] ** 2)
+        # more eigenvalues than the table holds is refused, not truncated
+        with pytest.raises(DomainError):
+            table.lambdas(table.k_max + 1)
+        with pytest.raises(DomainError):
+            compute_zeros(0, 1).lambdas(3)
 
     def test_missing_entry(self, table):
         with pytest.raises(DomainError):

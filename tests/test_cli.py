@@ -77,6 +77,25 @@ def test_verify_rejects_malformed_table(tmp_path, capsys, field, value):
                         "--out", str(tmp_path / "v")], capsys, f"{field}=")
 
 
+@pytest.mark.parametrize("case", ["repeated", "missing"])
+def test_verify_rejects_repeated_or_missing_entry(tmp_path, capsys, case):
+    # each (nu, k) of the table's range appears exactly once: a second
+    # j_{0,4} listed first, or a dropped j_{1,5}, is refused
+    table = tmp_path / "zeros.json"
+    compute_zeros(1, 40).to_json(table)
+    payload = json.loads(table.read_text())
+    entries = payload["zeros"]
+    if case == "repeated":
+        wrong = dict(entries[3], value=entries[3]["value"] + 1e-4)
+        assert (wrong["nu"], wrong["k"]) == (0, 4)
+        entries.insert(3, wrong)
+    else:
+        entries.remove(next(e for e in entries if (e["nu"], e["k"]) == (1, 5)))
+    table.write_text(json.dumps(payload))
+    assert usage_error(["verify", "--table", str(table),
+                        "--out", str(tmp_path / "v")], capsys, "exactly once")
+
+
 def test_no_command_is_usage_error():
     assert main([]) == EXIT_USAGE
 

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import linalg
 
 from discsteer import (FrequencySet, GalerkinSystem, MomentProblem,
                        RadialState, TargetParams, build_frequencies, build_rhs,
@@ -143,23 +142,17 @@ class TestSolveMoment:
                     "max_residual"):
             assert key in sol.diagnostics
 
-    def test_conditioning_guard(self, table):
-        # a tiny horizon with many frequencies is hopeless at finite K
-        freqs = build_frequencies(table, 25)
-        prob = MomentProblem(freqs=freqs, d=np.zeros(freqs.K), T=1e-4)
-        with pytest.raises(ConditioningError):
-            solve_moment(prob)
-
-    def test_failed_cholesky_is_conditioning_error(self, table, monkeypatch):
-        # a Gram matrix that passes the condition check but fails to
-        # factor is reported, not solved a second time on a shifted matrix
-        def fail(*args, **kwargs):
-            raise linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(linalg, "cho_factor", fail)
-        freqs = build_frequencies(table, 5)
-        prob = MomentProblem(freqs=freqs, d=np.zeros(freqs.K), T=1.0)
-        with pytest.raises(ConditioningError, match="Cholesky"):
+    @pytest.mark.parametrize("n_max, T, cond", [
+        (25, 1e-4, "inf"),   # a tiny horizon with many frequencies
+        (20, 0.15, "inf"),   # smallest eigenvalue -6e-17
+        (12, 0.2, "3.0"),    # 3.06e12, positive definite but over cond_limit
+    ], ids=["tiny-horizon", "negative-eigenvalue", "over-cond-limit"])
+    def test_conditioning_guard(self, table, n_max, T, cond):
+        # the condition check is all that stands before the solve divides by
+        # the eigenvalues, so it refuses a non-positive one and a large ratio
+        freqs = build_frequencies(table, n_max)
+        prob = MomentProblem(freqs=freqs, d=np.zeros(freqs.K), T=T)
+        with pytest.raises(ConditioningError, match=f"condition number {cond}"):
             solve_moment(prob)
 
     def test_problem_validation(self, table):

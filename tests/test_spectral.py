@@ -119,6 +119,13 @@ class TestCoupling:
         for k in (1, 2, 10, 40):
             assert 0 < m[k - 1, k - 1] < 1
 
+    def test_spectrum_in_unit_interval(self, table500):
+        # M compresses multiplication by r^2 in (0, 1), so 0 < M < I: the
+        # bilinear resolution heuristic bounds |w M| by max|w| on this
+        for n in (1, 3, 40, 320):
+            eigs = np.linalg.eigvalsh(coupling_matrix(n, table500))
+            assert 0 < eigs[0] and eigs[-1] < 1, (n, eigs[0], eigs[-1])
+
     def test_diagonal_closed_form(self, table, rule):
         # <r^2 m_k, m_k> = 1/3 - 2/(3 j_k^2) via the standard J_0 moments
         m = coupling_matrix(8, table)
