@@ -6,8 +6,7 @@ control synthesis -> spectral Galerkin verification and physical radius
 reconstruction.
 """
 
-from .bessel import (QuadratureRule, ZeroTable, bessel_j, compute_zeros,
-                     gauss_legendre_rule)
+from .bessel import ZeroTable, bessel_j, compute_zeros, gauss_legendre_rule
 from .control import (RadiusTrajectory, SteeringProblem, control_from_radius,
                       endpoint_map, integrate_control, map_fixed_to_disc,
                       potential, radius_from_control, steer_local,

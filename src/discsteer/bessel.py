@@ -128,17 +128,9 @@ def compute_zeros(nu_max: int, k_max: int, tol: float = DEFAULT_ZERO_TOL) -> Zer
     return ZeroTable(nu_max=nu_max, k_max=k_max, zeros=zeros, tol=tol)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes/weights mapped onto (0, 1)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def gauss_legendre_rule(order: int = 256) -> QuadratureRule:
-    """Gauss-Legendre rule with `order` nodes on (0, 1)."""
+def gauss_legendre_rule(order: int = 256) -> tuple:
+    """Gauss-Legendre (nodes, weights) with `order` nodes on (0, 1)."""
     if order < 1:
         raise DomainError("quadrature order must be >= 1")
     x, w = np.polynomial.legendre.leggauss(order)
-    return QuadratureRule(nodes=0.5 * (x + 1.0), weights=0.5 * w)
+    return 0.5 * (x + 1.0), 0.5 * w

@@ -129,7 +129,7 @@ def _verify_checks(table: bessel.ZeroTable) -> dict:
     if table.k_max < 4:
         raise DomainError(f"verify needs a zero table with k_max >= 4, because "
                           f"the coupling bounds start at k=4 (k_max={table.k_max})")
-    rule = bessel.gauss_legendre_rule(256)
+    nodes, weights = bessel.gauss_legendre_rule(256)
     checks = {}
 
     # zero certification
@@ -139,8 +139,8 @@ def _verify_checks(table: bessel.ZeroTable) -> dict:
 
     # orthogonality of the normalised modes
     kk = min(table.k_max, 30)
-    vals = np.array([spectral.mode(k, rule.nodes, table) for k in range(1, kk + 1)])
-    off = np.abs((vals * rule.nodes * rule.weights) @ vals.T - np.eye(kk))
+    vals = np.array([spectral.mode(k, nodes, table) for k in range(1, kk + 1)])
+    off = np.abs((vals * nodes * weights) @ vals.T - np.eye(kk))
     worst = np.unravel_index(np.argmax(off), off.shape)
     checks["orthogonality"] = _check(off.max(), 1e-9, off.max() <= 1e-9)
 
@@ -148,7 +148,7 @@ def _verify_checks(table: bessel.ZeroTable) -> dict:
     # first 20 of those modes: the leading block of one 40-mode matrix
     coupling = spectral.coupling_matrix(min(table.k_max, 40), table)
     kk = min(table.k_max, 20)
-    quad = (vals[:kk] * rule.nodes ** 3 * rule.weights) @ vals[:kk].T
+    quad = (vals[:kk] * nodes ** 3 * weights) @ vals[:kk].T
     residual = np.max(np.abs(coupling[:kk, :kk] - quad))
     checks["coupling_identity"] = _check(residual, 1e-9, residual <= 1e-9)
 

@@ -127,25 +127,17 @@ class SteeringReport:
     iterations: int
 
 
-def _project_tangent(state: RadialState, packet: np.ndarray) -> RadialState:
-    """Remove the Re<., packet> component so build_rhs accepts the residual."""
-    c = state.coeffs.copy()
-    inner = np.real(np.sum(c[:3] * np.conj(packet)))
-    c[:3] -= inner * packet
-    return RadialState(c)
-
-
 def steer_local(problem: SteeringProblem, iterations: int = 5, K: int = 20, *,
                 sys: GalerkinSystem, table: ZeroTable,
                 steps: int = 2 ** 14, tol: float = 1e-6):
     """Newton loop with frozen linearisation steering the full bilinear system.
 
     Each iteration simulates the bilinear system under the current control,
-    projects the endpoint mismatch onto the tangent space at the reference
-    wave packet, synthesizes a linearised correction and adds it to the
-    control. The loop stops when the residual reaches tol, after
-    `iterations` corrections, or on divergence (the residual growing three
-    times in a row); the report holds the residual of every endpoint.
+    projects the endpoint mismatch in place onto the tangent space at the
+    reference packet and zeroes its modes beyond K, then adds a linearised
+    correction to the control. The loop stops when the residual reaches tol,
+    after `iterations` corrections, or on divergence (the residual growing
+    three times in a row); the report holds the residual of every endpoint.
     """
     if iterations < 0:
         raise DomainError("iterations must be >= 0")
@@ -153,27 +145,27 @@ def steer_local(problem: SteeringProblem, iterations: int = 5, K: int = 20, *,
     T = problem.T
     packet = wave_packet(problem.params, T, sys.lambdas)
     psi0 = RadialState(problem.psi0.padded(sys.N))
-    psif = RadialState(problem.psif.padded(sys.N))
+    psif = problem.psif.padded(sys.N)
     zero = RadialState(np.zeros(sys.N, dtype=complex))
 
     u = ControlSignal.zero(T)
     residuals = []
     grow_streak = 0
     for it in range(iterations + 1):
-        endpoint = endpoint_map(u, psi0, sys, steps=steps)
-        mismatch = RadialState(psif.coeffs - endpoint.coeffs)
-        residuals.append(mismatch.l2_norm())
+        mismatch = psif - endpoint_map(u, psi0, sys, steps=steps).coeffs
+        residuals.append(float(np.linalg.norm(mismatch)))
         grown = len(residuals) >= 2 and residuals[-1] > residuals[-2]
         grow_streak = grow_streak + 1 if grown else 0
         if residuals[-1] <= tol or grow_streak >= 3 or it == iterations:
             return SteeringReport(control=u, residuals=residuals,
                                   converged=residuals[-1] <= tol, iterations=it)
+        # build_rhs accepts only tangent targets: remove Re<., packet>
+        mismatch[:3] -= np.real(np.sum(mismatch[:3] * np.conj(packet))) * packet
         # the correction only acts on covered modes; drop the (scheme-error
         # sized) components beyond the frequency coverage
-        tc = _project_tangent(mismatch, packet).coeffs
-        tc[K:] = 0.0
+        mismatch[K:] = 0.0
         correction_problem = SteeringProblem(params=problem.params, T=T,
-                                             psi0=zero, psif=RadialState(tc))
+                                             psi0=zero, psif=RadialState(mismatch))
         u = u + synthesize_linearized(correction_problem, K, sys=sys, table=table)
 
 

@@ -128,12 +128,13 @@ class ControlSignal:
       evaluation, the derivative, `integral`, `+` and scalar `*` act on the
       coefficients and are exact up to rounding.
     - samples: everything else. The derivative is taken by central
-      differences of the samples, `integral` is the trapezoid rule, and `+`
-      and scalar `*` act on the samples and return a sampled signal.
+      differences of the samples, `integral` is the trapezoid rule and scalar
+      `*` acts on the samples; `+` raises `DomainError`, as
+      `integrate_control` does.
 
     A callable attached by `from_function` is only a more accurate point
     evaluator for the samples: `__call__` uses it and nothing else does, so
-    a sum or multiple drops it.
+    a multiple drops it.
 
     Whenever `fn` is attached, `samples` is `fn` on the grid.
     """
@@ -198,19 +199,16 @@ class ControlSignal:
         return ends_ok and abs(self.integral()) <= H10_MEAN_TOL * self.T * scale
 
     def __add__(self, other: "ControlSignal") -> "ControlSignal":
+        if not (self.closed_form and other.closed_form):
+            raise DomainError("only exponential-sum controls can be added")
         if abs(self.T - other.T) > 1e-12 * max(self.T, other.T):
             raise DomainError("cannot add control signals with different horizons")
         n = max(self.samples.size, other.samples.size)
-        if self.closed_form and other.closed_form:
-            return ControlSignal.from_function(self.fn + other.fn, self.T, n)
-        grid = np.linspace(0.0, self.T, n)
-        return ControlSignal(samples=self(grid) + other(grid), T=self.T)
+        return ControlSignal.from_function(self.fn + other.fn, self.T, n)
 
     def __mul__(self, scalar: float) -> "ControlSignal":
-        if self.closed_form:
-            return ControlSignal(samples=scalar * self.samples, T=self.T,
-                                 fn=scalar * self.fn)
-        return ControlSignal(samples=scalar * self.samples, T=self.T)
+        fn = scalar * self.fn if self.closed_form else None
+        return ControlSignal(samples=scalar * self.samples, T=self.T, fn=fn)
 
     __rmul__ = __mul__
 
@@ -314,6 +312,9 @@ def simulate_linearized(v: ControlSignal, params: TargetParams,
     quadrature only evaluates v' at nodes, also for an `ExpSum` control, so
     it stays an independent check of the closed-form synthesis.
     """
+    if sys.N < 3:
+        raise DomainError(f"the three-mode reference packet needs N >= 3, "
+                          f"got N={sys.N}")
     if not v.is_h10_admissible():
         raise AdmissibilityError("control is not H^1_0-admissible")
     T = v.T

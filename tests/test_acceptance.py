@@ -55,12 +55,12 @@ def tangent_perturbation(params, T, table, n_modes, n_support, rng,
 def test_criterion_01_bessel_certification(table):
     t0 = time.perf_counter()
     worst_zero = max(abs(bessel_j(nu, z)) for (nu, _), z in table.zeros.items())
-    rule = gauss_legendre_rule(256)
+    nodes, weights = gauss_legendre_rule(256)
     row = table.row(0)[:30]
     norms = np.abs([bessel_j(1, z) for z in row])
-    vals = np.array([np.sqrt(2) * bessel_j(0, z * rule.nodes) / n
+    vals = np.array([np.sqrt(2) * bessel_j(0, z * nodes) / n
                      for z, n in zip(row, norms)])
-    gram = (vals * rule.nodes * rule.weights) @ vals.T
+    gram = (vals * nodes * weights) @ vals.T
     worst_ortho = float(np.max(np.abs(gram - np.eye(30))))
     elapsed = time.perf_counter() - t0
     ok = worst_zero <= 1e-11 and worst_ortho <= 1e-9 and elapsed < 5.0
@@ -71,14 +71,14 @@ def test_criterion_01_bessel_certification(table):
 
 def test_criterion_02_coupling_identity(table):
     t0 = time.perf_counter()
-    rule = gauss_legendre_rule(256)
+    nodes, weights = gauss_legendre_rule(256)
     row = table.row(0)[:40]
-    j0_vals = np.array([bessel_j(0, z * rule.nodes) for z in row])
+    j0_vals = np.array([bessel_j(0, z * nodes) for z in row])
     j1_vals = np.array([bessel_j(1, z) for z in row])
     worst = 0.0
     for k in range(2, 41):
         for l in range(1, k):
-            quad = float(np.sum(rule.nodes ** 3 * rule.weights
+            quad = float(np.sum(nodes ** 3 * weights
                                 * j0_vals[l - 1] * j0_vals[k - 1]))
             jl, jk = row[l - 1], row[k - 1]
             closed = 4 * jl * jk * j1_vals[l - 1] * j1_vals[k - 1] \

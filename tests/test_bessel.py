@@ -139,20 +139,21 @@ class TestZeroTable:
 
 class TestQuadrature:
     def test_polynomial_exactness(self):
-        rule = gauss_legendre_rule(8)
+        nodes, weights = gauss_legendre_rule(8)
         # int_0^1 r^n * r dr = 1/(n+2), exact up to degree 2*8-1 total
         for n in range(0, 12):
-            val = np.sum(rule.nodes ** (n + 1) * rule.weights)
+            val = np.sum(nodes ** (n + 1) * weights)
             assert val == pytest.approx(1.0 / (n + 2), rel=1e-14)
 
     def test_mode_orthogonality_identity(self, table, rule):
         # int_0^1 J_0(j_k r) J_0(j_l r) r dr = delta_kl J_1(j_k)^2 / 2
+        nodes, weights = rule
         row = table.row(0)
         for k in (1, 3, 10):
             for l in (1, 3, 10):
                 zk, zl = row[k - 1], row[l - 1]
-                fk, fl = bessel_j(0, zk * rule.nodes), bessel_j(0, zl * rule.nodes)
-                val = np.sum(fk * fl * rule.nodes * rule.weights)
+                fk, fl = bessel_j(0, zk * nodes), bessel_j(0, zl * nodes)
+                val = np.sum(fk * fl * nodes * weights)
                 expect = bessel_j(1, zk) ** 2 / 2 if k == l else 0.0
                 assert val == pytest.approx(expect, abs=1e-12)
 

@@ -40,13 +40,19 @@ class TestControlSignal:
         with pytest.raises(DomainError):
             u + bump_control(2.0)
 
-    def test_callable_algebra_is_sampled(self):
+    def test_sampled_signals_scale_but_do_not_add(self):
+        # a product is formed on the samples and drops an attached callable
+        # (criterion 9 scales such a direction); only exponential sums add
+        u = bump_control(1.0)
         f = ControlSignal.from_function(lambda t: np.sin(3 * np.asarray(t)), 1.0)
-        g = ControlSignal.from_function(lambda t: np.asarray(t) ** 2, 1.0)
-        for out, samples in ((2.0 * f, 2.0 * f.samples),
-                             (f + g, f.samples + g.samples)):
-            assert out.fn is None
-            assert np.array_equal(out.samples, samples)
+        sampled = ControlSignal(samples=f.samples, T=1.0)
+        for g in (f, sampled):
+            for out in (2.0 * g, g * 2.0):
+                assert out.fn is None
+                assert np.array_equal(out.samples, 2.0 * f.samples)
+            for op in (lambda: g + u, lambda: u + g, lambda: g + g):
+                with pytest.raises(DomainError, match="exponential-sum"):
+                    op()
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -245,6 +251,12 @@ class TestSimulateLinearized:
         v = ControlSignal.from_function(lambda t: np.asarray(t) ** 2, 1.0)
         with pytest.raises(AdmissibilityError):
             simulate_linearized(v, params, sys40)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_needs_three_modes(self, table, params, N):
+        sys_ = GalerkinSystem.build(N, table)
+        with pytest.raises(DomainError, match="N >= 3"):
+            simulate_linearized(ControlSignal.zero(1.0), params, sys_)
 
     def test_zero_control_zero_endpoint(self, sys40, params):
         out = simulate_linearized(ControlSignal.zero(1.0), params, sys40)

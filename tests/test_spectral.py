@@ -64,8 +64,9 @@ class TestTargetParams:
 
 
 def test_modes_orthonormal(table, rule):
-    vals = np.array([mode(k, rule.nodes, table) for k in range(1, 11)])
-    gram = (vals * rule.nodes * rule.weights) @ vals.T
+    nodes, weights = rule
+    vals = np.array([mode(k, nodes, table) for k in range(1, 11)])
+    gram = (vals * nodes * weights) @ vals.T
     assert np.max(np.abs(gram - np.eye(10))) < 1e-12
 
 
@@ -99,9 +100,10 @@ def test_wave_packet_needs_three_eigenvalues(table, params):
 class TestCoupling:
     def test_closed_form_matches_quadrature(self, table, rule):
         # every entry, diagonal included, against one vectorised quadrature
+        nodes, weights = rule
         m = coupling_matrix(40, table)
-        vals = np.array([mode(k, rule.nodes, table) for k in range(1, 41)])
-        quad = (vals * rule.nodes ** 3 * rule.weights) @ vals.T
+        vals = np.array([mode(k, nodes, table) for k in range(1, 41)])
+        quad = (vals * nodes ** 3 * weights) @ vals.T
         assert np.max(np.abs(m - quad)) < 1e-12
 
     def test_sign_alternation(self, table):
@@ -126,24 +128,39 @@ class TestCoupling:
             eigs = np.linalg.eigvalsh(coupling_matrix(n, table500))
             assert 0 < eigs[0] and eigs[-1] < 1, (n, eigs[0], eigs[-1])
 
+    def test_uniform_bounds(self, table500):
+        # s_p(k) = j_k^3 |<r^2 m_p, m_k>| = 8 j_p / (1 - j_p^2/j_k^2)^2 falls
+        # strictly in k towards 8 j_p, so [8 j_p, s_p(4)] bounds it for every k
+        j = table500.row(0)
+        jk = j[3:]
+        scaled = jk ** 3 * np.abs(coupling_matrix(500, table500)[:3, 3:])
+        for p, s in enumerate(scaled, start=1):
+            jp = j[p - 1]
+            closed = 8 * jp / (1 - jp ** 2 / jk ** 2) ** 2
+            assert np.max(np.abs(s / closed - 1)) <= 1e-13
+            assert np.all(np.diff(s) < 0) and s.min() > 8 * jp
+            assert s[-1] - 8 * jp == pytest.approx(16 * jp ** 3 / jk[-1] ** 2,
+                                                   rel=0.01)
+
     def test_diagonal_closed_form(self, table, rule):
         # <r^2 m_k, m_k> = 1/3 - 2/(3 j_k^2) via the standard J_0 moments
+        nodes, weights = rule
         m = coupling_matrix(8, table)
         for k in (1, 3, 8):
             jk = table[(0, k)]
-            quad = np.sum(rule.nodes ** 3 * mode(k, rule.nodes, table) ** 2
-                          * rule.weights)
+            quad = np.sum(nodes ** 3 * mode(k, nodes, table) ** 2 * weights)
             assert quad == pytest.approx(1.0 / 3.0 - 2.0 / (3.0 * jk ** 2),
                                          abs=1e-12)
             assert m[k - 1, k - 1] == pytest.approx(quad, abs=1e-12)
 
     def test_matrix_symmetric(self, table, rule):
+        nodes, weights = rule
         m = coupling_matrix(40, table)
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) > 0)
         for l, k in [(1, 2), (1, 5), (2, 3), (3, 9), (5, 20)]:
-            quad = np.sum(rule.nodes ** 3 * mode(l, rule.nodes, table)
-                          * mode(k, rule.nodes, table) * rule.weights)
+            quad = np.sum(nodes ** 3 * mode(l, nodes, table)
+                          * mode(k, nodes, table) * weights)
             assert m[k - 1, l - 1] == pytest.approx(quad, abs=1e-12)
 
     def test_decay_rate(self, table):
