@@ -77,22 +77,20 @@ def integrate_control(w: ControlSignal) -> ControlSignal:
 
     `w` must carry an `ExpSum` (as every `solve_moment` control does); a
     sampled `w`, with or without a point evaluator, raises `DomainError`.
-    Both vanishing moments of w (int w = 0 and int t w = 0) are required;
-    they make v vanish at both endpoints and have zero mean. The moments and
-    v are exact closed forms, and v's derivative, taken from its
-    coefficients, is w up to rounding.
+    v is the closed-form antiderivative; its derivative, taken from its
+    coefficients, is w up to rounding. v must pass `is_h10_admissible`, the
+    rule `simulate_linearized` applies: as int w = v(T) and
+    int t w = T v(T) - int v, it requires both vanishing moments of w.
     """
     if not w.closed_form:
         raise DomainError("integrate_control needs an exponential-sum control")
-    total, t_moment = w.fn.integral(w.T), w.fn.t_moment(w.T)
-    scale = max(w.max_abs(), 1e-300)
-    if abs(total) > CONSTRAINT_TOL * max(1.0, scale * w.T) \
-            or abs(t_moment) > CONSTRAINT_TOL * max(1.0, scale * w.T ** 2):
+    v = ControlSignal.from_function(w.fn.antiderivative(), w.T,
+                                    n_samples=w.samples.size)
+    if not v.is_h10_admissible():
         raise AdmissibilityError(
-            f"w violates the vanishing-moment constraints (int w = {total:.3e}, "
-            f"int t w = {t_moment:.3e})")
-    return ControlSignal.from_function(w.fn.antiderivative(), w.T,
-                                       n_samples=w.samples.size)
+            f"v = int w is not H^1_0-admissible (v(T) = {v.samples[-1]:.3e}, "
+            f"int v = {v.integral():.3e}, max|v| = {v.max_abs():.3e})")
+    return v
 
 
 def _cumtrapz(vals, grid):
@@ -177,6 +175,9 @@ def radius_from_control(u: ControlSignal,
     separable: tau(g) = 1/4 int_0^g exp(2 U). Both integrals are taken by
     the cumulative trapezoid rule on a uniform grid of n_steps intervals in
     g over [0, T], and R(tau(g)) = exp(U(g)).
+
+    u may be CSV data from outside the program, so it is checked for the
+    closure R(T*) = exp(int u) = 1 with CONSTRAINT_TOL, not for H^1_0.
     """
     total = u.integral()
     if abs(total) > CONSTRAINT_TOL * max(1.0, u.max_abs() * u.T):

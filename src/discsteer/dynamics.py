@@ -21,36 +21,13 @@ from .spectral import RadialState, TargetParams, coupling_matrix
 H10_MEAN_TOL = 1e-10
 
 
-def _int_exp(alpha, T):
-    """int_0^T exp(i alpha t) dt, elementwise."""
-    alpha = np.asarray(alpha, dtype=float)
-    out = np.empty(alpha.shape, dtype=complex)
-    small = alpha == 0.0
-    out[small] = T
-    a = alpha[~small]
-    out[~small] = (np.exp(1j * a * T) - 1.0) / (1j * a)
-    return out
-
-
-def _int_t_exp(alpha, T):
-    """int_0^T t exp(i alpha t) dt, elementwise."""
-    alpha = np.asarray(alpha, dtype=float)
-    out = np.empty(alpha.shape, dtype=complex)
-    small = alpha == 0.0
-    out[small] = T ** 2 / 2.0
-    a = alpha[~small]
-    e = np.exp(1j * a * T)
-    out[~small] = T * e / (1j * a) - (e - 1.0) / (1j * a) ** 2
-    return out
-
-
 @dataclass(frozen=True)
 class ExpSum:
     """Real function f(t) = Re sum_j a_j exp(-i omega_j t) + sum_m p_m t^m.
 
     The closed form of every control the moment solver builds. The
-    antiderivative, the derivative, the integral and t-moment over [0, T],
-    sums and scalar multiples are exact up to rounding; evaluation costs
+    antiderivative (the one closed-form integral), the derivative, sums and
+    scalar multiples are exact up to rounding; evaluation costs
     O(len(omegas) + len(poly)) per point.
     """
 
@@ -68,10 +45,6 @@ class ExpSum:
             raise DomainError("an exponential sum needs 1-D frequencies, "
                               "amplitudes of the same shape and 1-D polynomial "
                               "coefficients")
-
-    @classmethod
-    def zero(cls) -> "ExpSum":
-        return cls(np.zeros(0), np.zeros(0, dtype=complex), np.zeros(1))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -91,16 +64,6 @@ class ExpSum:
         poly = P.polyadd(P.polyint(self.poly),
                          [-np.sum(amps.real), np.sum(self.amps[zero].real)])
         return ExpSum(omegas, amps, poly)
-
-    def integral(self, T: float) -> float:
-        """int_0^T f."""
-        return float(np.real(self.amps @ _int_exp(-self.omegas, T))
-                     + P.polyval(T, P.polyint(self.poly)))
-
-    def t_moment(self, T: float) -> float:
-        """int_0^T t f(t) dt."""
-        return float(np.real(self.amps @ _int_t_exp(-self.omegas, T))
-                     + P.polyval(T, P.polyint(P.polymulx(self.poly))))
 
     def __add__(self, other: "ExpSum") -> "ExpSum":
         # terms at the same frequency merge, so repeated sums over one
@@ -157,7 +120,7 @@ class ControlSignal:
 
     @classmethod
     def zero(cls, T: float) -> "ControlSignal":
-        return cls.from_function(ExpSum.zero(), T)
+        return cls.from_function(ExpSum(np.zeros(0), np.zeros(0), [0.0]), T)
 
     @property
     def grid(self) -> np.ndarray:
@@ -185,10 +148,10 @@ class ControlSignal:
         return float(np.max(np.abs(self.samples)))
 
     def integral(self) -> float:
-        """Integral over [0, T]: closed form for an exponential sum, the
-        trapezoid rule on the samples otherwise."""
+        """Integral over [0, T]: the antiderivative at T for an exponential
+        sum, the trapezoid rule on the samples otherwise."""
         if self.closed_form:
-            return self.fn.integral(self.T)
+            return float(self.fn.antiderivative()(self.T))
         return float(np.trapezoid(self.samples, self.grid))
 
     def is_h10_admissible(self) -> bool:
@@ -245,7 +208,8 @@ class SimulationResult:
 
     @property
     def final(self) -> RadialState:
-        return RadialState(self.states[-1])
+        # a copy, so that the endpoint does not keep the trajectory alive
+        return RadialState(self.states[-1].copy())
 
     def norm_drift(self) -> float:
         norms2 = np.sum(np.abs(self.states) ** 2, axis=1)

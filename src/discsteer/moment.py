@@ -17,12 +17,33 @@ import numpy as np
 from scipy import linalg
 
 from .bessel import ZeroTable
-from .dynamics import (ControlSignal, ExpSum, GalerkinSystem, _int_exp,
-                       _int_t_exp, _oscillatory_nodes)
+from .dynamics import (ControlSignal, ExpSum, GalerkinSystem,
+                       _oscillatory_nodes)
 from .errors import AdmissibilityError, ConditioningError, DomainError
 from .spectral import RadialState, TargetParams, wave_packet
 
 TANGENT_TOL = 1e-8
+
+
+def _int_exp(alpha, T):
+    """int_0^T exp(i alpha t) dt, elementwise."""
+    alpha = np.asarray(alpha, dtype=float)
+    nz = alpha != 0.0
+    out = np.full(alpha.shape, T, dtype=complex)
+    a = alpha[nz]
+    out[nz] = (np.exp(1j * a * T) - 1.0) / (1j * a)
+    return out
+
+
+def _int_t_exp(alpha, T):
+    """int_0^T t exp(i alpha t) dt, elementwise."""
+    alpha = np.asarray(alpha, dtype=float)
+    nz = alpha != 0.0
+    out = np.full(alpha.shape, T ** 2 / 2.0, dtype=complex)
+    a = alpha[nz]
+    e = np.exp(1j * a * T)
+    out[nz] = T * e / (1j * a) - (e - 1.0) / (1j * a) ** 2
+    return out
 
 
 def gamma_tilde(table: ZeroTable) -> float:

@@ -140,7 +140,42 @@ class TestSynthesizeLinearized:
             / target.l2_norm() < 1e-10
 
 
+class TestOneAdmissionRule:
+    """`integrate_control` admits v by `is_h10_admissible`, the rule that
+    `simulate_linearized` applies, so every control it returns is simulated."""
+
+    @staticmethod
+    def synthesize(table, params, N, T, seed):
+        sys = GalerkinSystem.build(N, table)
+        target = tangent_target(params, T, sys.lambdas, N, 10,
+                                np.random.default_rng(seed))
+        zero = RadialState(np.zeros(N, dtype=complex))
+        prob = SteeringProblem(params=params, T=T, psi0=zero, psif=target)
+        return sys, synthesize_linearized(prob, N, sys=sys, table=table)
+
+    def test_refuses_below_the_rounding_floor(self, table, params):
+        # Gram cond 6e9 passes solve_moment, but |int v| / (T max|v|) is
+        # 5e-9 > 1e-10: the control used to be built and then refused
+        with pytest.raises(AdmissibilityError, match=r"v\(T\) = .*int v = "):
+            self.synthesize(table, params, 12, 0.22, seed=0)
+
+    @pytest.mark.parametrize("N", [12, 20])
+    @pytest.mark.parametrize("T", [0.3, 0.5, 1.0])
+    def test_every_returned_control_simulates(self, table, params, T, N):
+        for seed in range(3):
+            sys, v = self.synthesize(table, params, N, T, seed)
+            assert abs(v.integral()) <= 1e-11 * T * v.max_abs()
+            simulate_linearized(v, params, sys)
+
+
 class TestEndpointMap:
+    def test_endpoint_owns_its_coefficients(self, table):
+        # a view of the final row would keep the whole trajectory alive
+        sys5 = GalerkinSystem.build(5, table)
+        psi0 = RadialState(np.eye(5)[0])
+        out = endpoint_map(ControlSignal.zero(0.01), psi0, sys5, steps=64)
+        assert out.coeffs.base is None
+
     def test_zero_control_is_free_evolution(self, table, rng):
         # low truncation so the scheme phase error stays below the tolerance
         sys5 = GalerkinSystem.build(5, table)

@@ -102,12 +102,13 @@ class TestExpSum:
         assert np.max(np.abs(panel_quadrature(df, self.ts)
                              - (f(self.ts) - f(0.0)))) < 1e-10
 
-    def test_mean_and_t_moment(self, rng):
+    def test_mean(self, rng):
+        # the antiderivative at T is the package's only closed-form integral
         f = random_expsum(rng)
-        assert f.integral(self.T) == pytest.approx(
-            panel_quadrature(f, self.T)[0], abs=1e-12)
-        assert f.t_moment(self.T) == pytest.approx(
-            panel_quadrature(lambda t: t * f(t), self.T)[0], abs=1e-12)
+        exact = panel_quadrature(f, self.T)[0]
+        assert f.antiderivative()(self.T) == pytest.approx(exact, abs=1e-12)
+        assert ControlSignal.from_function(f, self.T).integral() \
+            == pytest.approx(exact, abs=1e-12)
 
     def test_sum_and_scaling(self, rng):
         f = random_expsum(rng)
@@ -118,23 +119,23 @@ class TestExpSum:
         assert s.omegas.size == np.union1d(f.omegas, g.omegas).size
         assert (f + f).omegas.size == f.omegas.size
         assert np.max(np.abs(s(self.ts) - (f(self.ts) + g(self.ts)))) < 1e-12
-        assert s.integral(self.T) == pytest.approx(
-            panel_quadrature(s, self.T)[0], abs=1e-12)
+        assert np.max(np.abs(s.antiderivative()(self.ts)
+                             - panel_quadrature(s, self.ts))) < 1e-12
         h = -2.5 * f
         assert np.max(np.abs(h(self.ts) + 2.5 * f(self.ts))) < 1e-12
-        assert h.t_moment(self.T) == pytest.approx(
-            panel_quadrature(lambda t: t * h(t), self.T)[0], abs=1e-11)
+        assert ControlSignal.from_function(h, self.T).integral() \
+            == pytest.approx(panel_quadrature(h, self.T)[0], abs=1e-11)
 
     def test_zero(self, rng):
-        z = ExpSum.zero()
+        u = ControlSignal.zero(self.T)
+        z = u.fn
         f = random_expsum(rng)
-        assert np.all(z(self.ts) == 0.0)
-        assert z.integral(self.T) == 0.0 and z.t_moment(self.T) == 0.0
+        assert u.closed_form and u.integral() == 0.0
+        assert np.all(z(self.ts) == 0.0) and np.all(u.samples == 0.0)
         assert np.all(z.antiderivative()(self.ts) == 0.0)
         assert np.all((f + z)(self.ts) == f(self.ts))
-        u = ControlSignal.zero(self.T)
-        assert u.closed_form and u.integral() == 0.0
         assert np.all(u.derivative(self.ts) == 0.0)
+        assert u.is_h10_admissible()
 
     def test_control_signal_is_exact(self, rng):
         f = random_expsum(rng)

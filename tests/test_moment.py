@@ -80,6 +80,38 @@ def test_nonresonance_exhaustive_oracle(table500):
     assert gap > 1e-6
 
 
+def test_nonresonance_lemma(table500):
+    """The minimum gap over all n is attained at small indices.
+
+    Lemma: if delta_k = lambda_{k+1} - lambda_k increases in k, two gap
+    frequencies (n, p) and (m, q) with n > m differ by at least
+    (lambda_n - lambda_m) - (lambda_3 - lambda_1) >= delta_{n-1} - (lambda_3
+    - lambda_1). Frequencies with n = m differ by lambda_q - lambda_p, a
+    difference that n = 4 already has, and 0 lies below (n, p) by at least
+    delta_{n-1}. So once delta_c - (lambda_3 - lambda_1) reaches the minimum
+    gap of the frequencies with n <= c, no index beyond c can lower it.
+
+    delta_k increases because j_{0,k+1} - j_{0,k} does (for |nu| < 1/2) and
+    j_{0,k+1} + j_{0,k} does. That holds for every k by Watson, "A Treatise on
+    the Theory of Bessel Functions" (2nd ed., 1944), ch. 15, and Lorch &
+    Szego, "Higher monotonicity properties of certain Sturm-Liouville
+    functions", Acta Math. 109 (1963); the test checks it to k = 500.
+    """
+    j = table500.row(0)
+    lam = j ** 2
+    assert np.all(np.diff(np.diff(j)) > 0) and np.all(np.diff(j) < np.pi)
+    delta = np.diff(lam)  # delta[k - 1] = lambda_{k+1} - lambda_k
+    assert np.all(np.diff(delta) > 0)
+
+    spread = lam[2] - lam[0]
+    cut = next(c for c in range(4, 500)
+               if delta[c - 1] - spread >= build_frequencies(table500, c).min_gap())
+    assert cut == 4
+    gap = build_frequencies(table500, cut).min_gap()
+    assert gap == build_frequencies(table500, 500).min_gap()
+    assert gap == pytest.approx(4.9505, abs=1e-4)
+
+
 class TestGram:
     def test_closed_form_integrals(self):
         T = 1.3
