@@ -17,7 +17,7 @@ from .errors import ConvergenceError, DomainError
 NU_MAX_SUPPORTED = 64
 X_MAX_SUPPORTED = 1.0e6
 
-DEFAULT_ZERO_TOL = 1.0e-12
+ZERO_RESIDUAL_MAX = 1.0e-11
 
 
 def bessel_j(nu: int, x) -> float:
@@ -39,14 +39,13 @@ def bessel_j(nu: int, x) -> float:
 class ZeroTable:
     """Positive zeros j_{nu,k} of J_nu for nu <= nu_max, 1 <= k <= k_max.
 
-    Every stored zero z satisfies |J_nu(z)| <= 10*tol; tol is the certification
-    bound only, not an accuracy the zeros were refined to.
+    Every stored zero z satisfies |J_nu(z)| <= ZERO_RESIDUAL_MAX, the fixed
+    certification bound, not an accuracy the zeros were refined to.
     """
 
     nu_max: int
     k_max: int
     zeros: dict = field(repr=False)
-    tol: float = DEFAULT_ZERO_TOL
 
     def __getitem__(self, key) -> float:
         nu, k = key
@@ -71,15 +70,15 @@ class ZeroTable:
         entries = [{"nu": nu, "k": k, "value": v}
                    for (nu, k), v in sorted(self.zeros.items())]
         with open(path, "w") as fh:
-            json.dump({"tol": self.tol, "zeros": entries}, fh, indent=1)
+            json.dump({"zeros": entries}, fh, indent=1)
 
     @classmethod
     def from_json(cls, path) -> "ZeroTable":
+        """Read the zeros of a table file; other keys, like an old tol, are ignored."""
         with open(path) as fh:
             payload = json.load(fh)
         try:
             zeros = {(e["nu"], e["k"]): e["value"] for e in payload["zeros"]}
-            tol = payload["tol"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"zero table {path} is malformed ({exc!r})") from None
         if not zeros:
@@ -91,21 +90,19 @@ class ZeroTable:
                 raise DomainError(f"zero table {path}: entry nu={nu!r}, k={k!r}, "
                                   f"value={v!r} needs integers nu >= 0, k >= 1 "
                                   f"and a finite positive value")
-        if not (type(tol) in (int, float) and 0 < tol <= 1e-6):
-            raise DomainError(f"zero table {path}: tol={tol!r} must lie in (0, 1e-6]")
         nu_max = max(nu for nu, _ in zeros)
         k_max = max(k for _, k in zeros)
         if len(zeros) != len(payload["zeros"]) or len(zeros) != (nu_max + 1) * k_max:
             raise DomainError(f"zero table {path}: every (nu, k) with nu <= {nu_max} "
                               f"and k <= {k_max} must appear exactly once")
-        return cls(nu_max=nu_max, k_max=k_max, zeros=zeros, tol=tol)
+        return cls(nu_max=nu_max, k_max=k_max, zeros=zeros)
 
 
-def compute_zeros(nu_max: int, k_max: int, tol: float = DEFAULT_ZERO_TOL) -> ZeroTable:
+def compute_zeros(nu_max: int, k_max: int) -> ZeroTable:
     """Compute a certified table of Bessel zeros.
 
-    The zeros come from ``scipy.special.jn_zeros`` (Zhang & Jin's JYZO);
-    ``tol`` is only the certification bound |J_nu(z)| <= 10*tol. Raises
+    The zeros come from ``scipy.special.jn_zeros`` (Zhang & Jin's JYZO), and
+    each is certified by |J_nu(z)| <= ZERO_RESIDUAL_MAX. Raises
     DomainError for invalid bounds, or when the k_max-th zero of order nu_max
     would exceed X_MAX_SUPPORTED (McMahon's estimate (k + nu/2 - 1/4) pi), and
     ConvergenceError if a zero fails the residual check.
@@ -114,18 +111,16 @@ def compute_zeros(nu_max: int, k_max: int, tol: float = DEFAULT_ZERO_TOL) -> Zer
         raise DomainError(f"nu_max={nu_max} outside [0, {NU_MAX_SUPPORTED}]")
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
-    if not (0 < tol <= 1e-6):
-        raise DomainError("tol must lie in (0, 1e-6]")
     if (k_max + nu_max / 2 - 0.25) * np.pi > X_MAX_SUPPORTED:
         raise DomainError(f"zero j_({nu_max},{k_max}) would exceed the supported "
                           f"argument range [0, {X_MAX_SUPPORTED}]")
     zeros = {}
     for nu in range(nu_max + 1):
         for k, z in enumerate(special.jn_zeros(nu, k_max).tolist(), start=1):
-            if abs(special.jv(nu, z)) > 10 * tol:
+            if abs(special.jv(nu, z)) > ZERO_RESIDUAL_MAX:
                 raise ConvergenceError(f"zero j_({nu},{k}) fails residual check")
             zeros[(nu, k)] = z
-    return ZeroTable(nu_max=nu_max, k_max=k_max, zeros=zeros, tol=tol)
+    return ZeroTable(nu_max=nu_max, k_max=k_max, zeros=zeros)
 
 
 def gauss_legendre_rule(order: int = 256) -> tuple:

@@ -112,7 +112,7 @@ def _read_control_csv(path) -> dynamics.ControlSignal:
 
 
 def cmd_zeros(cfg: dict, out: str) -> tuple[int, list]:
-    table = bessel.compute_zeros(cfg["nu"], cfg["k"], cfg["tol"])
+    table = bessel.compute_zeros(cfg["nu"], cfg["k"])
     path = os.path.join(out, "zeros.json")
     table.to_json(path)
     print(f"wrote {path} ({len(table.zeros)} zeros)")
@@ -134,8 +134,8 @@ def _verify_checks(table: bessel.ZeroTable) -> dict:
 
     # zero certification
     residual = max(abs(bessel.bessel_j(nu, z)) for (nu, _), z in table.zeros.items())
-    checks["zero_residual"] = _check(residual, 10 * table.tol,
-                                     residual <= 10 * table.tol)
+    checks["zero_residual"] = _check(residual, bessel.ZERO_RESIDUAL_MAX,
+                                     residual <= bessel.ZERO_RESIDUAL_MAX)
 
     # orthogonality of the normalised modes
     kk = min(table.k_max, 30)
@@ -178,7 +178,7 @@ def _verify_checks(table: bessel.ZeroTable) -> dict:
 
 def cmd_verify(cfg: dict, out: str) -> tuple[int, list]:
     report = _verify_checks(bessel.ZeroTable.from_json(cfg["table"]) if cfg["table"]
-                            else bessel.compute_zeros(0, cfg["k"], cfg["tol"]))
+                            else bessel.compute_zeros(0, cfg["k"]))
     name = _write_json(out, "verify_report.json", report, sort_keys=True)
     for key, c in report["checks"].items():
         print(f"{'PASS' if c['ok'] else 'FAIL'} {key} {c['value']:.3e} "
@@ -274,9 +274,9 @@ def cmd_radius(cfg: dict, out: str) -> tuple[int, list]:
 # default's type. The settings that default to None are input file paths.
 COMMANDS = {
     "zeros": (cmd_zeros, "compute and certify a Bessel zero table",
-              {"nu": 0, "k": 64, "tol": bessel.DEFAULT_ZERO_TOL}),
+              {"nu": 0, "k": 64}),
     "verify": (cmd_verify, "run the numerical verification sweep",
-               {"k": 40, "tol": bessel.DEFAULT_ZERO_TOL, "table": None}),
+               {"k": 40, "table": None}),
     "synthesize": (cmd_synthesize, "synthesize a linearized control",
                    {"theta2": 0.25, "theta3": 0.25, "T": 1.0, "K": 20,
                     "N": 40, "psi0": None, "psif": None}),

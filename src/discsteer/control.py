@@ -9,7 +9,7 @@ import numpy as np
 from .bessel import ZeroTable
 from .dynamics import (ControlSignal, GalerkinSystem, free_evolution,
                        simulate_bilinear)
-from .errors import AdmissibilityError, DomainError
+from .errors import AdmissibilityError, ConditioningError, DomainError
 from .moment import build_frequencies, build_rhs, solve_moment
 from .spectral import RadialState, TargetParams, wave_packet
 
@@ -63,13 +63,20 @@ def synthesize_linearized(problem: SteeringProblem, K: int, sys: GalerkinSystem,
     """Control v steering the linearised system from psi0 to psif in time T.
 
     K is the highest mode index covered by the moment frequencies. Nonzero
-    initial data is reduced away by `problem.linear_target`.
+    initial data is reduced away by `problem.linear_target`. The moment
+    solution has vanishing moments in exact arithmetic, so a v that fails the
+    H^1_0 rule marks an ill-conditioned solve and raises `ConditioningError`.
     """
     _check_coverage(K, sys)
     freqs = build_frequencies(table, K)
     mp = build_rhs(problem.linear_target(sys), problem.params, problem.T, sys,
                    freqs)
-    return integrate_control(solve_moment(mp).signal)
+    solution = solve_moment(mp)
+    try:
+        return integrate_control(solution.signal)
+    except AdmissibilityError as exc:
+        cond = solution.diagnostics["condition_number"]
+        raise ConditioningError(f"{exc}; Gram condition number {cond:.3e}") from exc
 
 
 def integrate_control(w: ControlSignal) -> ControlSignal:

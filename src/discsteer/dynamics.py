@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .bessel import ZeroTable
+from .bessel import ZeroTable, gauss_legendre_rule
 from .errors import AdmissibilityError, DomainError
 from .spectral import RadialState, TargetParams, coupling_matrix
 
@@ -48,7 +48,8 @@ class ExpSum:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        phases = np.exp(-1j * np.multiply.outer(t, self.omegas))
+        phases = np.multiply.outer(t, -1j * self.omegas)
+        np.exp(phases, out=phases)  # in place: one nodes x terms array
         return np.real(phases @ self.amps) + P.polyval(t, self.poly)
 
     def derivative(self) -> "ExpSum":
@@ -257,12 +258,11 @@ def simulate_bilinear(state0: RadialState, w: ControlSignal, sys: GalerkinSystem
 def _oscillatory_nodes(T: float, omega_max: float):
     """Composite Gauss-Legendre nodes resolving phases up to omega_max."""
     n_sub = max(32, int(np.ceil(T * max(omega_max, 1.0) / 12.0)))
-    x, wq = np.polynomial.legendre.leggauss(16)
+    x, wq = gauss_legendre_rule(16)
     edges = np.linspace(0.0, T, n_sub + 1)
     h = edges[1] - edges[0]
-    nodes = (edges[:-1, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
-    weights = np.tile(0.5 * h * wq, n_sub)
-    return nodes, weights
+    nodes = (edges[:-1, None] + h * x).ravel()
+    return nodes, np.tile(h * wq, n_sub)
 
 
 def simulate_linearized(v: ControlSignal, params: TargetParams,

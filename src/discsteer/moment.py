@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .bessel import ZeroTable
+from .bessel import ZERO_RESIDUAL_MAX, ZeroTable
 from .dynamics import (ControlSignal, ExpSum, GalerkinSystem,
                        _oscillatory_nodes)
 from .errors import AdmissibilityError, ConditioningError, DomainError
@@ -95,7 +95,7 @@ def build_frequencies(table: ZeroTable, n_max: int) -> FrequencySet:
     order = np.argsort(values, kind="stable")
     omegas, origins = values[order], tuple(tags[i] for i in order)
     gaps = np.diff(omegas)
-    if np.any(gaps <= 10 * table.tol):
+    if np.any(gaps <= ZERO_RESIDUAL_MAX):
         i = int(np.argmin(gaps))
         raise DomainError(
             f"non-resonance violation: origins {origins[i]} and {origins[i + 1]} "
@@ -209,13 +209,18 @@ def build_rhs(psi_f: RadialState, params: TargetParams, T: float,
     """Moment data steering the linearised system from 0 to psi_f at time T.
 
     psi_f must lie in the tangent space of the unit sphere at the reference
-    wave packet, and its mode support must be covered by the frequency set.
+    wave packet, and the frequency set must cover its mode support: a mode
+    k >= 4 needs the origins (k, 1), (k, 2) and (k, 3), and modes 1-3
+    together need (2, 1), (3, 1) and (3, 2).
     """
     lam = sys.lambdas
-    n_max = max((o[0] for o in freqs.origins if o is not None), default=0)
     coeffs = psi_f.padded(sys.N)
-    if n_max < sys.N and np.any(np.abs(coeffs[n_max:]) > 0):
-        raise DomainError("target has modes beyond the frequency coverage")
+    for k in np.flatnonzero(coeffs).tolist():
+        need = [(2, 1), (3, 1), (3, 2)] if k < 3 else [(k + 1, p) for p in (1, 2, 3)]
+        missing = [o for o in need if o not in freqs.origins]
+        if missing:
+            raise DomainError(f"target mode {k + 1} is beyond the frequency "
+                              f"coverage: origins {missing} are missing")
 
     wts = params.weights()
     packet = wave_packet(params, T, lam)  # reference coefficients at T

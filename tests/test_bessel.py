@@ -133,8 +133,6 @@ class TestZeroTable:
             compute_zeros(-1, 5)
         with pytest.raises(DomainError):
             compute_zeros(0, 0)
-        with pytest.raises(DomainError):
-            compute_zeros(0, 5, tol=1e-3)
 
 
 class TestQuadrature:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from discsteer import RadialState, compute_zeros
+from discsteer.bessel import ZERO_RESIDUAL_MAX
 from discsteer.errors import DomainError
 from discsteer.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            _effective, main)
@@ -61,17 +62,13 @@ def test_verify_table_entry_without_value(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("value", None), ("value", "NaN"), ("value", float("nan")), ("value", [1]),
-    ("value", 0.0), ("nu", -1), ("k", 0), ("k", True), ("tol", "x"),
-    ("tol", None), ("tol", -1.0), ("tol", 1e-3)])
+    ("value", 0.0), ("nu", -1), ("k", 0), ("k", True)])
 def test_verify_rejects_malformed_table(tmp_path, capsys, field, value):
     # a valid four-zero table with one field replaced
     table = tmp_path / "zeros.json"
     compute_zeros(0, 4).to_json(table)
     payload = json.loads(table.read_text())
-    if field == "tol":
-        payload["tol"] = value
-    else:
-        payload["zeros"][0][field] = value
+    payload["zeros"][0][field] = value
     table.write_text(json.dumps(payload))
     assert usage_error(["verify", "--table", str(table),
                         "--out", str(tmp_path / "v")], capsys, f"{field}=")
@@ -163,12 +160,18 @@ def test_verify_passes(tmp_path):
     assert report["checks"]["nonresonance"]["value"] > 1e-6
 
 
-def test_verify_tol_flag(tmp_path):
+def test_verify_reads_table_with_tol_key(tmp_path):
+    # older table files also carry a "tol" key; it is ignored, and the zeros
+    # are certified against the fixed bound
+    table = tmp_path / "zeros.json"
+    compute_zeros(0, 12).to_json(table)
+    payload = json.loads(table.read_text())
+    assert "tol" not in payload
+    table.write_text(json.dumps({"tol": 1e-12, "zeros": payload["zeros"]}))
     out = tmp_path / "v"
-    assert main(["verify", "--k", "12", "--tol", "1e-10",
-                 "--out", str(out)]) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["tol"] == 1e-10
+    assert main(["verify", "--table", str(table), "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["checks"]["zero_residual"]["bound"] == ZERO_RESIDUAL_MAX
 
 
 @pytest.mark.parametrize("shift", [1e-4, 1e-10])
@@ -216,6 +219,20 @@ def test_synthesize_and_simulate(tmp_path):
     assert code == EXIT_OK
     run = json.loads((sim_out / "run.json").read_text())
     assert run["norm_drift"] <= 1e-10
+
+
+def test_ill_conditioned_synthesis_is_numerical_failure(tmp_path, capsys):
+    # below T ~ 0.25 the Gram solve (cond 6e9) loses v's zero mean to
+    # rounding: a conditioning failure, exit 3, not a usage error
+    psif = np.zeros(12, dtype=complex)
+    psif[4] = 1e-3
+    state_path = tmp_path / "psif.json"
+    RadialState(psif).to_json(state_path)
+    code = main(["synthesize", "--psif", str(state_path), "--T", "0.22",
+                 "--N", "12", "--K", "12", "--out", str(tmp_path / "syn")])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("numerical failure: ") and "condition number" in err
 
 
 def test_simulate_requires_state(tmp_path):

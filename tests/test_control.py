@@ -13,7 +13,7 @@ from discsteer import (ControlSignal, ExpSum, GalerkinSystem, MomentProblem,
                        simulate_linearized, solve_moment, steer_local,
                        synthesize_linearized)
 from discsteer.cli import main
-from discsteer.errors import AdmissibilityError, DomainError
+from discsteer.errors import AdmissibilityError, ConditioningError, DomainError
 from test_dynamics import panel_quadrature
 
 
@@ -126,6 +126,19 @@ class TestSynthesizeLinearized:
         with pytest.raises(DomainError, match=r"must lie in 1\.\.N=40"):
             synthesize_linearized(prob, K, sys=sys40, table=table)
 
+    def test_rejects_packet_modes_without_their_pairs(self, table, sys40, params):
+        # K = 2 has the pair (2, 1) but not (3, 1) and (3, 2), which every
+        # target on modes 1-3 needs, also one with mode 3 exactly 0
+        T = 1.0
+        packet = params.weights()[:2] * np.exp(-1j * sys40.lambdas[:2] * T)
+        c = np.zeros(40, dtype=complex)
+        c[:2] = 1j * packet  # tangent: Re<c, packet> = 0
+        prob = SteeringProblem(params=params, T=T, psi0=RadialState(0 * c),
+                               psif=RadialState(c))
+        with pytest.raises(DomainError, match=r"mode 1 is beyond the frequency "
+                           r"coverage: origins \[\(3, 1\), \(3, 2\)\]"):
+            synthesize_linearized(prob, 2, sys=sys40, table=table)
+
     def test_hits_target(self, table, sys40, params, rng):
         T = 1.0
         target = tangent_target(params, T, sys40.lambdas, 40, 10, rng)
@@ -155,8 +168,9 @@ class TestOneAdmissionRule:
 
     def test_refuses_below_the_rounding_floor(self, table, params):
         # Gram cond 6e9 passes solve_moment, but |int v| / (T max|v|) is
-        # 5e-9 > 1e-10: the control used to be built and then refused
-        with pytest.raises(AdmissibilityError, match=r"v\(T\) = .*int v = "):
+        # 5e-9 > 1e-10: rounding in the solve, so a conditioning failure
+        with pytest.raises(ConditioningError,
+                           match=r"v\(T\) = .*int v = .*condition number"):
             self.synthesize(table, params, 12, 0.22, seed=0)
 
     @pytest.mark.parametrize("N", [12, 20])

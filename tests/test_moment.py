@@ -298,6 +298,16 @@ class TestBuildRhs:
         with pytest.raises(DomainError):
             build_rhs(RadialState(c), params, 1.0, sys40, freqs)
 
+    def test_rejects_partly_covered_mode(self, table, sys40, params):
+        # truncate(30) drops (12, 1) alone, the largest of the 31 frequencies
+        # up to mode 12; the other two pairs would steer about half of mode 12
+        freqs = build_frequencies(table, 12).truncate(30)
+        c = np.zeros(40, dtype=complex)
+        c[11] = 1e-3
+        with pytest.raises(DomainError, match=r"mode 12 is beyond the frequency "
+                           r"coverage: origins \[\(12, 1\)\] are missing"):
+            build_rhs(RadialState(c), params, 1.0, sys40, freqs)
+
 
 def test_end_to_end_moment_pipeline(table, sys40, params, rng):
     # build data for a random tangent target, solve, verify by quadrature
