@@ -19,6 +19,30 @@ from .errors import AdmissibilityError, DomainError
 from .spectral import RadialState, TargetParams, coupling_matrix
 
 H10_MEAN_TOL = 1e-10
+# complex entries in one block of phases exp(i t omega): 2^18, 4 MB
+PHASE_BLOCK_ENTRIES = 2 ** 18
+
+
+def _phase_blocks(t: np.ndarray, omegas: np.ndarray, sum_over_t: bool):
+    """Yield (rows, exp(i outer(t[rows], omegas))) over consecutive blocks of
+    the 1-D times t, each of at most PHASE_BLOCK_ENTRIES entries.
+
+    For a sum over t the block is yielded transposed, terms by rows, so the
+    summed axis is always the contiguous one: a sum that fits in one block
+    rounds exactly as the product with the whole phase array does. Every
+    block is written into the same buffer, so memory stays at one block
+    whatever the size of t; a caller uses each block before the next.
+    """
+    step = max(1, PHASE_BLOCK_ENTRIES // max(omegas.size, 1))
+    buf = np.empty((min(step, t.size), omegas.size), dtype=complex,
+                   order="F" if sum_over_t else "C")
+    freqs = 1j * omegas
+    for start in range(0, t.size, step):
+        rows = slice(start, min(start + step, t.size))
+        block = buf[:rows.stop - start]
+        np.multiply.outer(t[rows], freqs, out=block)
+        np.exp(block, out=block)
+        yield rows, block.T if sum_over_t else block
 
 
 @dataclass(frozen=True)
@@ -28,7 +52,8 @@ class ExpSum:
     The closed form of every control the moment solver builds. The
     antiderivative (the one closed-form integral), the derivative, sums and
     scalar multiples are exact up to rounding; evaluation costs
-    O(len(omegas) + len(poly)) per point.
+    O(len(omegas) + len(poly)) per point, and its memory is bounded by one
+    block of PHASE_BLOCK_ENTRIES phases, whatever the number of points.
     """
 
     omegas: np.ndarray   # real frequencies
@@ -48,9 +73,11 @@ class ExpSum:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        phases = np.multiply.outer(t, -1j * self.omegas)
-        np.exp(phases, out=phases)  # in place: one nodes x terms array
-        return np.real(phases @ self.amps) + P.polyval(t, self.poly)
+        out = np.empty(t.size)
+        for rows, phases in _phase_blocks(t.ravel(), -self.omegas,
+                                          sum_over_t=False):
+            out[rows] = np.real(phases @ self.amps)
+        return out.reshape(t.shape) + P.polyval(t, self.poly)
 
     def derivative(self) -> "ExpSum":
         return ExpSum(self.omegas, -1j * self.omegas * self.amps,
@@ -284,12 +311,12 @@ def simulate_linearized(v: ControlSignal, params: TargetParams,
     T = v.T
     lam = sys.lambdas
     nodes, weights = _oscillatory_nodes(T, float(lam[-1] - lam[0]))
-    dv = np.atleast_1d(v.derivative(nodes))
+    wdv = weights * np.atleast_1d(v.derivative(nodes))
 
-    # integrals[k, p] = int_0^T v'(s) exp(i (lambda_k - lambda_p) s) ds
-    phases = np.multiply.outer(1j * lam, nodes)
-    np.exp(phases, out=phases)  # in place: one N x n_nodes array
-    packet = np.exp(np.multiply.outer(nodes, -1j * lam[:3])) * (weights * dv)[:, None]
-    integrals = phases @ packet
+    # integrals[k, p] = int_0^T v'(s) exp(i (lambda_k - lambda_p) s) ds; the
+    # first three rows of a block are the packet phases exp(i lambda_p s)
+    integrals = np.zeros((sys.N, 3), dtype=complex)
+    for rows, phases in _phase_blocks(nodes, lam, sum_over_t=True):
+        integrals += phases @ (np.conj(phases[:3]).T * wdv[rows, None])
     coeffs = (sys.M[:, :3] * integrals) @ params.weights()
     return RadialState(-1j * np.exp(-1j * lam * T) * coeffs)

@@ -18,7 +18,7 @@ from scipy import linalg
 
 from .bessel import ZERO_RESIDUAL_MAX, ZeroTable
 from .dynamics import (ControlSignal, ExpSum, GalerkinSystem,
-                       _oscillatory_nodes)
+                       _oscillatory_nodes, _phase_blocks)
 from .errors import AdmissibilityError, ConditioningError, DomainError
 from .spectral import RadialState, TargetParams, wave_packet
 
@@ -195,11 +195,13 @@ def moment_residuals(signal: ControlSignal, problem: MomentProblem) -> np.ndarra
     composite Gauss-Legendre nodes and never uses the closed-form integrals
     of an `ExpSum`, so an error in that algebra cannot cancel against itself.
     """
-    T = problem.T
-    nodes, weights = _oscillatory_nodes(T, float(problem.freqs.omegas[-1]))
+    omegas = problem.freqs.omegas
+    nodes, weights = _oscillatory_nodes(problem.T, float(omegas[-1]))
     w_vals = np.atleast_1d(signal(nodes))
-    phases = np.exp(1j * np.multiply.outer(problem.freqs.omegas, nodes))
-    moments = phases @ (weights * w_vals)
+    weighted = weights * w_vals
+    moments = np.zeros(omegas.size, dtype=complex)
+    for rows, phases in _phase_blocks(nodes, omegas, sum_over_t=True):
+        moments += phases @ weighted[rows]
     return np.concatenate([moments - problem.d,
                            [np.sum(weights * nodes * w_vals)]])
 

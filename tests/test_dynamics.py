@@ -1,11 +1,15 @@
 """Control signals, unitary time stepping and the linearized endpoint formula."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from discsteer import (ControlSignal, ExpSum, GalerkinSystem, RadialState,
-                       free_evolution, simulate_bilinear, simulate_linearized)
+                       dynamics, free_evolution, simulate_bilinear,
+                       simulate_linearized)
+from discsteer.dynamics import _oscillatory_nodes
 from discsteer.errors import AdmissibilityError, DomainError
 
 
@@ -154,6 +158,38 @@ class TestExpSum:
         with pytest.raises(DomainError):
             ExpSum(np.zeros(2), np.zeros(3, dtype=complex), [0.0])
 
+    def test_blocks_match_one_array(self, rng):
+        f = random_expsum(rng, n=200)
+        rows = dynamics.PHASE_BLOCK_ENTRIES // f.omegas.size
+        t = np.linspace(0.0, self.T, 3 * rows + 17)  # three full blocks and a part
+
+        def one_array(t):
+            phases = np.exp(np.multiply.outer(np.asarray(t), -1j * f.omegas))
+            return np.real(phases @ f.amps) \
+                + np.polynomial.polynomial.polyval(t, f.poly)
+
+        scale = np.max(np.abs(one_array(t)))
+        for pts in (t, 0.37, t[:600].reshape(20, 30)):
+            got, want = f(pts), one_array(pts)
+            assert np.shape(got) == np.shape(want)
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
+        assert isinstance(f(0.37), float)
+
+
+def test_expsum_memory_is_one_block(rng):
+    # a single points x terms array would take 20 000 * 1000 * 16 B = 320 MB
+    f = ExpSum(rng.uniform(-500.0, 500.0, 1000),
+               rng.standard_normal(1000) + 1j * rng.standard_normal(1000), [1.0])
+    t = np.linspace(0.0, 1.0, 20_000)
+    tracemalloc.start()
+    try:
+        f(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = 16 * dynamics.PHASE_BLOCK_ENTRIES  # 4 MB of complex phases
+    assert peak < 2 * block_bytes  # the bound: two blocks, 8 MB
+
 
 def test_free_evolution_phases(sys40):
     state = RadialState(np.ones(5))
@@ -290,6 +326,22 @@ class TestSimulateLinearized:
                                 steps=2 ** 14, forcing=forcing)
         assert np.linalg.norm(res.final.coeffs - end.coeffs) \
             < 1e-3 * max(end.l2_norm(), 1e-12) + 1e-12
+
+    def test_blocks_match_one_array(self, sys40, params):
+        T = 1.0
+        v = ControlSignal.from_function(
+            ExpSum(2 * np.pi / T * np.array([1, 3, 5]),
+                   1j * 1e-3 * np.array([-0.25, 0.5, -0.25]), [0.0]), T)
+        lam = sys40.lambdas
+        nodes, weights = _oscillatory_nodes(T, float(lam[-1] - lam[0]))
+        assert nodes.size * lam.size > 3 * dynamics.PHASE_BLOCK_ENTRIES
+        packet = np.exp(np.multiply.outer(nodes, -1j * lam[:3])) \
+            * (weights * v.derivative(nodes))[:, None]
+        integrals = np.exp(np.multiply.outer(1j * lam, nodes)) @ packet
+        want = -1j * np.exp(-1j * lam * T) \
+            * ((sys40.M[:, :3] * integrals) @ params.weights())
+        got = simulate_linearized(v, params, sys40).coeffs
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_linearity(self, sys40, params):
         v = bump_control(1.0, amp=1e-3)

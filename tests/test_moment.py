@@ -5,8 +5,9 @@ import pytest
 
 from discsteer import (FrequencySet, GalerkinSystem, MomentProblem,
                        RadialState, TargetParams, build_frequencies, build_rhs,
-                       gamma_tilde, gram_matrix, moment_residuals,
+                       dynamics, gamma_tilde, gram_matrix, moment_residuals,
                        solve_moment)
+from discsteer.dynamics import _oscillatory_nodes
 from discsteer.errors import (AdmissibilityError, ConditioningError,
                               DomainError)
 from discsteer.moment import _int_exp, _int_t_exp
@@ -165,6 +166,24 @@ class TestSolveMoment:
         ts = np.linspace(0, 1.0, 1001)
         w_ts = sol.signal.fn(ts)
         assert np.max(np.abs(np.imag(w_ts))) < 1e-10
+
+    @pytest.mark.parametrize("entries", [dynamics.PHASE_BLOCK_ENTRIES, 2 ** 12])
+    def test_residual_blocks_match_one_array(self, table, rng, monkeypatch,
+                                             entries):
+        monkeypatch.setattr(dynamics, "PHASE_BLOCK_ENTRIES", entries)
+        freqs = build_frequencies(table, 20)
+        d = rng.standard_normal(freqs.K) + 1j * rng.standard_normal(freqs.K)
+        d[freqs.omegas == 0.0] = np.abs(d[freqs.omegas == 0.0])
+        prob = MomentProblem(freqs=freqs, d=d, T=1.0)
+        signal = solve_moment(prob).signal
+        nodes, weights = _oscillatory_nodes(1.0, float(freqs.omegas[-1]))
+        assert nodes.size * freqs.K > entries  # two blocks or more
+        w = signal(nodes)
+        phases = np.exp(1j * np.multiply.outer(freqs.omegas, nodes))
+        moments = phases @ (weights * w)
+        want = np.concatenate([moments - d, [np.sum(weights * nodes * w)]])
+        got = moment_residuals(signal, prob)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(moments))
 
     def test_diagnostics_recorded(self, table):
         freqs = build_frequencies(table, 5)
