@@ -14,6 +14,7 @@ from .moment import build_frequencies, build_rhs, solve_moment
 from .spectral import RadialState, TargetParams, wave_packet
 
 CONSTRAINT_TOL = 1e-8
+CONTRACTION_MAX = 0.9
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,16 @@ class RadiusTrajectory:
 
 
 def _check_coverage(K: int, sys: GalerkinSystem) -> None:
-    if not 1 <= K <= sys.N:
-        raise DomainError(f"frequency coverage K={K} must lie in 1..N={sys.N}")
+    if not 3 <= K <= sys.N:
+        raise DomainError(f"frequency coverage K={K} must lie in 3..N={sys.N}: "
+                          f"the packet's pairs need at least 3 eigenvalues")
 
 
 def synthesize_linearized(problem: SteeringProblem, K: int, sys: GalerkinSystem,
                           table: ZeroTable) -> ControlSignal:
     """Control v steering the linearised system from psi0 to psif in time T.
 
-    K is the highest mode index covered by the moment frequencies. Nonzero
+    K in 3..N is the highest mode covered by the moment frequencies. Nonzero
     initial data is reduced away by `problem.linear_target`. The moment
     solution has vanishing moments in exact arithmetic, so a v that fails the
     H^1_0 rule marks an ill-conditioned solve and raises `ConditioningError`.
@@ -140,9 +142,9 @@ def steer_local(problem: SteeringProblem, iterations: int = 5, K: int = 20, *,
     Each iteration simulates the bilinear system under the current control,
     projects the endpoint mismatch in place onto the tangent space at the
     reference packet and zeroes its modes beyond K, then adds a linearised
-    correction to the control. The loop stops when the residual reaches tol,
-    after `iterations` corrections, or on divergence (the residual growing
-    three times in a row); the report holds the residual of every endpoint.
+    correction to the control. It stops at residual <= tol, after `iterations`
+    corrections, or once r_k > CONTRACTION_MAX r_{k-1} (divergence or stall);
+    the report holds every residual and the control behind the last one.
     """
     if iterations < 0:
         raise DomainError("iterations must be >= 0")
@@ -155,13 +157,11 @@ def steer_local(problem: SteeringProblem, iterations: int = 5, K: int = 20, *,
 
     u = ControlSignal.zero(T)
     residuals = []
-    grow_streak = 0
     for it in range(iterations + 1):
         mismatch = psif - endpoint_map(u, psi0, sys, steps=steps).coeffs
         residuals.append(float(np.linalg.norm(mismatch)))
-        grown = len(residuals) >= 2 and residuals[-1] > residuals[-2]
-        grow_streak = grow_streak + 1 if grown else 0
-        if residuals[-1] <= tol or grow_streak >= 3 or it == iterations:
+        not_contracting = it > 0 and residuals[-1] > CONTRACTION_MAX * residuals[-2]
+        if residuals[-1] <= tol or not_contracting or it == iterations:
             return SteeringReport(control=u, residuals=residuals,
                                   converged=residuals[-1] <= tol, iterations=it)
         # build_rhs accepts only tangent targets: remove Re<., packet>

@@ -89,6 +89,44 @@ class TestZeroTable:
         for (nu, _), z in table.zeros.items():
             assert abs(series_j(nu, z, terms=300)) <= 1e-11
 
+    def test_every_zero_is_the_one_its_index_names(self):
+        """Each zero z of `compute_zeros(1, 500)` is j_{nu,k}, not just a
+        point of small residual.
+
+        1. A zero lies within 4e-16 relative of z: J_nu changes sign across
+           z(1 -+ 4e-16), and J_nu is continuous. J_nu is evaluated by mpmath
+           at 30 digits; its precision is trusted, not interval-verified.
+        2. That zero of J_0 is j_{0,k}: with beta = (k - 1/4) pi, McMahon's
+           expansion j_{0,k} = beta + 1/(8 beta) - 31/(384 beta^3) + ...
+           (Watson 1944, ch. 15) puts every j_{0,m} in
+           I_m = (beta_m, beta_m + 1/(8 beta_m)); these intervals are
+           disjoint and ordered, so the one zero in I_k is j_{0,k}. No
+           remainder bound of the expansion is cited, so the index rests on
+           this enclosure. Its upper slack is 2.1e-11 at k = 500 and falls
+           to rounding near k = 1000, hence the table stops at 500.
+        3. That zero of J_1 is j_{1,k}: the positive zeros of J_0 and J_1
+           interlace, j_{0,k} < j_{1,k} < j_{0,k+1} (Watson 1944, ch. 15, by
+           Rolle's theorem on (J_0)' = -J_1 and (x J_1)' = x J_0), so exactly
+           one zero of J_1 lies between consecutive zeros of J_0, and none
+           below j_{0,1}. For k = 500, beta_501 < j_{0,501} stands in for
+           the next zero.
+        """
+        tab = compute_zeros(1, 500)
+        with mpmath.workdps(30):
+            eps, quarter = mpmath.mpf("4e-16"), mpmath.mpf(1) / 4
+            lo, hi = {}, {}
+            for key, z in tab.zeros.items():
+                z = mpmath.mpf(z)
+                lo[key], hi[key] = z * (1 - eps), z * (1 + eps)
+                assert mpmath.besselj(key[0], lo[key]) \
+                    * mpmath.besselj(key[0], hi[key]) < 0, key
+            beta = [(k - quarter) * mpmath.pi for k in range(1, 502)]
+            for k in range(1, 501):
+                assert beta[k - 1] < lo[(0, k)] \
+                    and hi[(0, k)] < beta[k - 1] + 1 / (8 * beta[k - 1]), k
+                next0 = lo[(0, k + 1)] if k < 500 else beta[500]
+                assert hi[(0, k)] < lo[(1, k)] and hi[(1, k)] < next0, k
+
     def test_strictly_increasing_and_interlaced(self, table):
         for nu in range(table.nu_max + 1):
             row = table.row(nu)

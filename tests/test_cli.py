@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from discsteer import RadialState, compute_zeros
+from discsteer import RadialState, compute_zeros, control
 from discsteer.bessel import ZERO_RESIDUAL_MAX
 from discsteer.errors import DomainError
 from discsteer.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
@@ -362,8 +362,13 @@ def test_modes_beyond_n(tmp_path, capsys, command, flags):
 
 
 @pytest.mark.parametrize("command, K", [("synthesize", "-5"), ("synthesize", "0"),
-                                        ("steer", "-2"), ("steer", "7")])
-def test_coverage_outside_one_to_n(tmp_path, capsys, command, K):
+                                        ("steer", "-2"), ("steer", "7"),
+                                        ("steer", "1"), ("steer", "2")])
+def test_coverage_outside_one_to_n(tmp_path, capsys, monkeypatch, command, K):
+    # K must lie in 3..N, refused before any endpoint map is paid for
+    calls = []
+    monkeypatch.setattr(control, "endpoint_map",
+                        lambda *args, **kwargs: calls.append(args))
     state = tmp_path / "state.json"
     RadialState(np.eye(1, 6, 0)[0].astype(complex)).to_json(state)
     steer_only = ["--iterations", "0", "--steps", "64"] if command == "steer" \
@@ -371,7 +376,8 @@ def test_coverage_outside_one_to_n(tmp_path, capsys, command, K):
     assert usage_error([command, "--N", "6", "--K", K, *steer_only,
                         "--psi0", str(state), "--psif", str(state),
                         "--out", str(tmp_path / "o")],
-                       capsys, "must lie in 1..N=6")
+                       capsys, "must lie in 3..N=6")
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", ["1", "2", "3"])

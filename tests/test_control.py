@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from discsteer import (ControlSignal, ExpSum, GalerkinSystem, MomentProblem,
-                       RadialState, RadiusTrajectory,
-                       SteeringProblem, build_frequencies, control_from_radius,
+                       RadialState, RadiusTrajectory, SteeringProblem,
+                       build_frequencies, build_rhs, control_from_radius,
                        endpoint_map, free_evolution, integrate_control,
                        map_fixed_to_disc, radius_from_control,
                        simulate_linearized, solve_moment, steer_local,
@@ -119,25 +119,26 @@ class TestSynthesizeLinearized:
         ts = np.linspace(0, T, 301)
         assert np.max(np.abs(v2(ts) - 2 * v1(ts))) < 1e-10 * v1.max_abs() + 1e-14
 
-    @pytest.mark.parametrize("K", [0, -5, 41])
+    @pytest.mark.parametrize("K", [0, -5, 41, 1, 2])
     def test_rejects_coverage_outside_truncation(self, table, sys40, params, K):
+        # K = 1 and 2 lack the pairs (3, 1) and (3, 2) of the packet's modes
         zero = RadialState(np.zeros(40, dtype=complex))
         prob = SteeringProblem(params=params, T=1.0, psi0=zero, psif=zero)
-        with pytest.raises(DomainError, match=r"must lie in 1\.\.N=40"):
+        with pytest.raises(DomainError, match=r"must lie in 3\.\.N=40"):
             synthesize_linearized(prob, K, sys=sys40, table=table)
 
     def test_rejects_packet_modes_without_their_pairs(self, table, sys40, params):
-        # K = 2 has the pair (2, 1) but not (3, 1) and (3, 2), which every
-        # target on modes 1-3 needs, also one with mode 3 exactly 0
+        # two modes' frequencies have the pair (2, 1) but not (3, 1) and
+        # (3, 2), which every target on modes 1-3 needs, also one with mode 3
+        # exactly 0; synthesize_linearized refuses K = 2 before build_rhs
         T = 1.0
         packet = params.weights()[:2] * np.exp(-1j * sys40.lambdas[:2] * T)
         c = np.zeros(40, dtype=complex)
         c[:2] = 1j * packet  # tangent: Re<c, packet> = 0
-        prob = SteeringProblem(params=params, T=T, psi0=RadialState(0 * c),
-                               psif=RadialState(c))
         with pytest.raises(DomainError, match=r"mode 1 is beyond the frequency "
                            r"coverage: origins \[\(3, 1\), \(3, 2\)\]"):
-            synthesize_linearized(prob, 2, sys=sys40, table=table)
+            build_rhs(RadialState(c), params, T, sys40,
+                      build_frequencies(table, 2))
 
     def test_hits_target(self, table, sys40, params, rng):
         T = 1.0
@@ -273,34 +274,37 @@ class TestSteerLocal:
         assert np.max(np.abs(u(ts) - panel_quadrature(u.fn.derivative(), ts))) < 1e-12
 
     @pytest.mark.parametrize("history, iterations, stop", [
-        # a fall resets the streak; the third growth in a row aborts
-        ([1.0, 2.0, 3.0, 2.5, 3.0, 4.0, 5.0, 6.0], 10, 6),
+        # contraction by 1/2 goes on; the first growth stops the loop
+        ([1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5, 3.1e-5, 3.2e-5, 1e-5], 10, 6),
         # the iteration cap comes first
-        ([1.0, 2.0, 3.0, 4.0], 1, 1),
+        ([1e-3, 5e-4, 2.5e-4], 1, 1),
+        # a stall at the time-step floor: the residual still falls, but by
+        # 1%, so the fourth endpoint map is the last (the cap allows five)
+        ([1e-3, 4.1e-5, 5.73e-6, 5.67e-6, 5.67e-6], 4, 3),
     ])
     def test_divergence_aborts(self, table, sys40, params, monkeypatch,
                                history, iterations, stop):
+        # stops once a residual exceeds CONTRACTION_MAX times the one before
         import discsteer.control as control_module
         T = 1.0
         psif = RadialState(np.zeros(40, dtype=complex))
         calls = []
 
-        def growing_endpoint(u, psi0, sys, steps):
+        def scripted_endpoint(u, psi0, sys, steps):
             # the mismatch lies on mode 5, which is trivially tangent
             c = np.zeros(sys.N, dtype=complex)
-            c[4] = 1e-3 * history[len(calls)]
+            c[4] = history[len(calls)]
             calls.append(u)
             return RadialState(-c)
 
-        monkeypatch.setattr(control_module, "endpoint_map", growing_endpoint)
+        monkeypatch.setattr(control_module, "endpoint_map", scripted_endpoint)
         prob = SteeringProblem(params=params, T=T,
                                psi0=RadialState(params.weights()), psif=psif)
         report = steer_local(prob, iterations=iterations, K=10, sys=sys40,
                              table=table, tol=1e-12)
         assert not report.converged
         assert report.iterations == stop
-        assert report.residuals == pytest.approx(
-            [1e-3 * r for r in history[:stop + 1]], rel=1e-15)
+        assert report.residuals == pytest.approx(history[:stop + 1], rel=1e-15)
         # the reported control is the one behind the last residual
         assert len(calls) == stop + 1 and report.control is calls[-1]
 
@@ -331,7 +335,7 @@ class TestSteerLocal:
         assert written["control_samples"] == list(report.control.samples)
         assert written["horizon"] == report.control.T == T
 
-    @pytest.mark.parametrize("K", [-2, 0, 41])
+    @pytest.mark.parametrize("K", [-2, 0, 41, 1, 2])
     def test_rejects_coverage_before_simulating(self, table, sys40, params,
                                                 monkeypatch, K):
         import discsteer.control as control_module
@@ -340,7 +344,7 @@ class TestSteerLocal:
                             lambda *args, **kwargs: calls.append(args))
         zero = RadialState(np.zeros(40, dtype=complex))
         prob = SteeringProblem(params=params, T=1.0, psi0=zero, psif=zero)
-        with pytest.raises(DomainError, match=r"must lie in 1\.\.N=40"):
+        with pytest.raises(DomainError, match=r"must lie in 3\.\.N=40"):
             steer_local(prob, K=K, sys=sys40, table=table)
         assert calls == []
 

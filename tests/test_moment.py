@@ -146,6 +146,28 @@ class TestGram:
         eigs = np.linalg.eigvalsh(g)
         assert eigs[0] > 0
 
+    @pytest.mark.parametrize("T", [1.5, 2.0, 4.0])
+    def test_ingham_lower_frame_bound(self, table500, T):
+        """Ingham's inequality in the form of Komornik & Loreti, *Fourier
+        Series in Control Theory* (2005), ch. 4: if a family satisfies
+        omega_{k+1} - omega_k >= gamma > 0 and |I| > 2 pi / gamma, then
+        int_I |sum a_k e^{i omega_k t}|^2 dt
+            >= (2 |I| / pi) (1 - 4 pi^2 / (|I|^2 gamma^2)) sum |a_k|^2.
+        The lowest Gram eigenvalue m is the best such constant on I = [0, T].
+        The extended family (-omega, 0, omega) has the gap gamma = 4.9505 of
+        `min_gap()` at every K, so T > 2 pi / gamma = 1.269 and the bound
+        holds uniformly in K; m itself settles as K grows.
+        """
+        ms = []
+        for K in (12, 40, 160):
+            freqs = build_frequencies(table500, K)
+            gamma = freqs.min_gap()
+            assert gamma == pytest.approx(4.9505, abs=1e-4)
+            g = gram_matrix(freqs, T, with_time_element=False)
+            ms.append(np.linalg.eigvalsh(g)[0])
+            assert ms[-1] >= (2 * T / np.pi) * (1 - 4 * np.pi ** 2 / (T * gamma) ** 2)
+        assert max(ms) - min(ms) <= 1e-4 * min(ms)
+
 
 class TestSolveMoment:
     def test_homogeneous_gives_zero(self, table):
