@@ -2,23 +2,28 @@
 
 The reference oracle is a 200-term power series evaluated in 50-digit mpmath
 arithmetic, entirely independent of the scipy implementation used in the
-package.
+package. The zero tables are also checked against mpmath's besseljzero and
+against scipy's jn_zeros, which finds its zeros by a different route from the
+package's bracketed Newton solver.
 """
 
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import discsteer
-from discsteer import ZeroTable, bessel_j, compute_zeros, gauss_legendre_rule
-from discsteer.errors import DomainError
+from discsteer import (ZeroTable, bessel, bessel_j, compute_zeros,
+                       gauss_legendre_rule)
+from discsteer.errors import ConvergenceError, DomainError
 
 def series_j(nu, x, terms=200):
     """Power series J_nu(x) = sum_m (-1)^m (x/2)^(2m+nu) / (m! (m+nu)!).
@@ -127,6 +132,27 @@ class TestZeroTable:
                 next0 = lo[(0, k + 1)] if k < 500 else beta[500]
                 assert hi[(0, k)] < lo[(1, k)] and hi[(1, k)] < next0, k
 
+    @pytest.mark.parametrize("nu_max, k_max, ulps", [(3, 64, 2), (1, 500, 2),
+                                                     (64, 64, 8)])
+    def test_agrees_with_jn_zeros(self, nu_max, k_max, ulps):
+        # scipy's jn_zeros (Zhang & Jin's JYZO) is an independent oracle:
+        # it starts and refines its zeros by another route
+        tab = compute_zeros(nu_max, k_max)
+        for nu in range(nu_max + 1):
+            ref = special.jn_zeros(nu, k_max)
+            assert np.all(np.abs(tab.row(nu) - ref) <= ulps * np.spacing(ref)), nu
+
+    def test_bracket_without_sign_change(self, monkeypatch):
+        # |J_1| above 8 leaves the bracket (j_{0,3}, j_{0,4}) of j_{1,3},
+        # and every later one, without a sign change
+        def jv(nu, x):
+            out = special.jv(nu, x)
+            return np.where(x > 8.0, np.abs(out), out) if nu == 1 else out
+
+        monkeypatch.setattr(bessel, "special", SimpleNamespace(jv=jv))
+        with pytest.raises(ConvergenceError, match=r"j_\(1,3\).*sign"):
+            compute_zeros(1, 5)
+
     def test_strictly_increasing_and_interlaced(self, table):
         for nu in range(table.nu_max + 1):
             row = table.row(nu)
@@ -144,10 +170,13 @@ class TestZeroTable:
 
     def test_lambdas(self, table):
         lam = table.lambdas(3)
-        assert np.allclose(lam, table.row(0)[:3] ** 2)
-        # more eigenvalues than the table holds is refused, not truncated
+        assert np.array_equal(lam, table.row(0)[:3] ** 2)
+        # more eigenvalues than the table holds is refused, not truncated,
+        # and a negative count does not slice from the end of the row
         with pytest.raises(DomainError):
             table.lambdas(table.k_max + 1)
+        with pytest.raises(DomainError):
+            table.lambdas(-1)
         with pytest.raises(DomainError):
             compute_zeros(0, 1).lambdas(3)
 
