@@ -64,12 +64,11 @@ class ZeroTable:
         """Zeros j_{nu,1..k_max} as an array."""
         return np.array([self[(nu, k)] for k in range(1, self.k_max + 1)])
 
-    def lambdas(self, count: int | None = None) -> np.ndarray:
+    def lambdas(self, count: int) -> np.ndarray:
         """Radial Dirichlet eigenvalues lambda_k = j_{0,k}^2, k <= count."""
-        n = self.k_max if count is None else count
-        if not 0 <= n <= self.k_max:
-            raise DomainError(f"{n} eigenvalues: need 0 <= count <= k_max = {self.k_max}")
-        return np.array([self.zeros[(0, k)] for k in range(1, n + 1)]) ** 2
+        if not 0 <= count <= self.k_max:
+            raise DomainError(f"{count} eigenvalues: need 0 <= count <= k_max = {self.k_max}")
+        return np.array([self.zeros[(0, k)] for k in range(1, count + 1)]) ** 2
 
     def to_json(self, path) -> None:
         entries = [{"nu": nu, "k": k, "value": v}
@@ -106,21 +105,22 @@ class ZeroTable:
 def compute_zeros(nu_max: int, k_max: int) -> ZeroTable:
     """Compute a certified table of Bessel zeros, one vectorised pass per order.
 
-    Row 0 holds ``k_max + nu_max`` zeros: McMahon's expansion (DLMF
-    10.21(vi)) puts j_{0,k} in ((k - 1/4) pi, (k - 1/8) pi), and each starts
-    from beta + 1/(8 beta), beta = (k - 1/4) pi. Row nu >= 1 holds one zero
-    fewer than row nu - 1: the interlacing j_{nu-1,k} < j_{nu,k} <
-    j_{nu-1,k+1} (Watson 1944, ch. 15) brackets each zero between two zeros
-    of the row below. It starts from the rows already computed (the bracket's
-    midpoint for nu = 1, linear extrapolation in nu for nu = 2, quadratic for
-    nu >= 3). Every row is refined at once by Newton on J_nu, with
-    J_nu' = (nu/z) J_nu - J_{nu+1}; a step that leaves its bracket bisects it.
+    Each row's zeros lie between consecutive points of one array of ends.
+    Row 0 holds n0 = k_max + nu_max zeros. Its ends are beta_k = (k - 1/4) pi,
+    closed by beta_{n0} + pi/8; McMahon's expansion (DLMF 10.21(vi)) gives
+    beta_k < j_{0,k} < beta_k + 1/(8 beta_k) < beta_{k+1}, so each bracket
+    holds exactly its own zero, started from beta + 1/(8 beta). The ends of
+    row nu >= 1 are the zeros of row nu - 1, and the interlacing j_{nu-1,k} <
+    j_{nu,k} < j_{nu-1,k+1} (Watson 1944, ch. 15) puts exactly one zero in
+    each bracket, started from the rows already computed (the midpoint for
+    nu = 1, linear extrapolation in nu for nu = 2, quadratic for nu >= 3).
+    Newton on J_nu, with J_nu' = (nu/z) J_nu - J_{nu+1}, refines every row at
+    once; a step that leaves its bracket bisects it.
 
-    Both ends of every bracket are checked for a sign change of J_nu, and
-    every zero is certified by |J_nu(z)| <= ZERO_RESIDUAL_MAX; either failure
-    raises ConvergenceError naming (nu, k). Raises DomainError for invalid
-    bounds, or when the upper end (k_max + nu_max - 1/8) pi of row 0's last
-    bracket would exceed X_MAX_SUPPORTED.
+    Every bracket is checked for a sign change of J_nu, and every zero
+    certified by |J_nu(z)| <= ZERO_RESIDUAL_MAX; either failure raises
+    ConvergenceError naming (nu, k). Raises DomainError for invalid bounds, or
+    when row 0's last end (k_max + nu_max - 1/8) pi would exceed X_MAX_SUPPORTED.
     """
     if nu_max < 0 or nu_max > NU_MAX_SUPPORTED:
         raise DomainError(f"nu_max={nu_max} outside [0, {NU_MAX_SUPPORTED}]")
@@ -132,40 +132,39 @@ def compute_zeros(nu_max: int, k_max: int) -> ZeroTable:
                           f"orders and {k_max} zeros, would exceed the supported "
                           f"argument range [0, {X_MAX_SUPPORTED}]")
     beta = (np.arange(1, n0 + 1) - 0.25) * np.pi
-    rows = [_refine_row(0, beta, beta + 0.125 * np.pi, beta + 0.125 / beta)]
+    rows = [_refine_row(0, np.append(beta, beta[-1] + 0.125 * np.pi),
+                        beta + 0.125 / beta)]
     for nu in range(1, nu_max + 1):
-        below = rows[-1]
-        lo, hi = below[:-1], below[1:]
-        n = lo.size
+        n = rows[-1].size - 1
         if nu == 1:
-            start = 0.5 * (lo + hi)
+            start = 0.5 * (rows[0][:-1] + rows[0][1:])
         elif nu == 2:
             start = 2.0 * rows[1][:n] - rows[0][:n]
         else:
             start = 3.0 * (rows[-1][:n] - rows[-2][:n]) + rows[-3][:n]
-        rows.append(_refine_row(nu, lo, hi, start))
+        rows.append(_refine_row(nu, rows[-1], start))
     zeros = {(nu, k): z for nu, row in enumerate(rows)
              for k, z in enumerate(row[:k_max].tolist(), start=1)}
     return ZeroTable(nu_max=nu_max, k_max=k_max, zeros=zeros)
 
 
-def _refine_row(nu: int, lo: np.ndarray, hi: np.ndarray,
-                start: np.ndarray) -> np.ndarray:
-    """The zeros of J_nu in the brackets (lo, hi), Newton from `start`.
+def _refine_row(nu: int, ends: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The zeros of J_nu in the brackets (ends[k], ends[k+1]), Newton from `start`.
 
+    J_nu is evaluated once at each end: consecutive brackets share theirs.
     A bracket whose ends do not change sign, a zero that does not converge
     within _NEWTON_ITERS_MAX steps, and a zero whose residual exceeds
     ZERO_RESIDUAL_MAX each raise ConvergenceError naming (nu, k).
     """
-    f_lo = special.jv(nu, lo)
-    bad = np.flatnonzero(f_lo * special.jv(nu, hi) >= 0)
+    f = special.jv(nu, ends)
+    bad = np.flatnonzero(f[:-1] * f[1:] >= 0)
     if bad.size:
         k = bad[0]
         raise ConvergenceError(f"zero j_({nu},{k + 1}): J_{nu} does not change "
-                               f"sign on its bracket ({lo[k]!r}, {hi[k]!r})")
-    lo, hi = lo.copy(), hi.copy()  # shrunk in place; may view the row below
+                               f"sign on its bracket ({ends[k]!r}, {ends[k + 1]!r})")
+    lo, hi = ends[:-1].copy(), ends[1:].copy()  # shrunk in place
     z = np.where((lo < start) & (start < hi), start, 0.5 * (lo + hi))
-    neg_lo = f_lo < 0
+    neg_lo = f[:-1] < 0
     active = np.arange(z.size)
     for _ in range(_NEWTON_ITERS_MAX):
         za = z[active]
@@ -191,7 +190,7 @@ def _refine_row(nu: int, lo: np.ndarray, hi: np.ndarray,
     return z
 
 
-def gauss_legendre_rule(order: int = 256) -> tuple:
+def gauss_legendre_rule(order: int) -> tuple:
     """Gauss-Legendre (nodes, weights) with `order` nodes on (0, 1)."""
     if order < 1:
         raise DomainError("quadrature order must be >= 1")

@@ -133,7 +133,8 @@ def _verify_checks(table: bessel.ZeroTable) -> dict:
     checks = {}
 
     # zero certification
-    residual = max(abs(bessel.bessel_j(nu, z)) for (nu, _), z in table.zeros.items())
+    residual = max(np.max(np.abs(bessel.bessel_j(nu, table.row(nu))))
+                   for nu in range(table.nu_max + 1))
     checks["zero_residual"] = _check(residual, bessel.ZERO_RESIDUAL_MAX,
                                      residual <= bessel.ZERO_RESIDUAL_MAX)
 
@@ -159,18 +160,25 @@ def _verify_checks(table: bessel.ZeroTable) -> dict:
     cond = eigs[-1] / eigs[0] if eigs[0] > 0 else np.inf
     checks["gram_condition"] = _check(cond, 1e8, cond < 1e8)
 
-    # coupling magnitude bounds j_k^3 |coupling(p, k)|, p = 1..3, k = 4..kk
+    # uniform coupling bounds: s_p(k) = j_k^3 |coupling(p, k)| lies in
+    # [8 j_p, s_p(4)] for p = 1..3, k = 4..kk; the value is the smallest
+    # relative margin above 8 j_p
     kk = min(table.k_max, 40)
-    scaled = table.row(0)[3:kk] ** 3 * np.abs(coupling[:3, 3:])
-    checks["coupling_bounds"] = _check(scaled.min(), 0.0, scaled.min() > 0)
+    j = table.row(0)
+    scaled = j[3:kk] ** 3 * np.abs(coupling[:3, 3:])
+    lower = 8.0 * j[:3]
+    margin = np.min(scaled.min(axis=1) / lower - 1.0)
+    within = np.all(scaled <= scaled[:, :1])
+    checks["coupling_bounds"] = _check(margin, 0.0, margin >= 0 and within)
 
     # non-resonance
     gap = moment.build_frequencies(table, min(table.k_max, 200)).min_gap()
     checks["nonresonance"] = _check(gap, 1e-6, gap > 1e-6)
 
     return {"checks": checks,
-            "coupling_bounds": {f"p{p}": {"min": float(v.min()), "max": float(v.max())}
-                                for p, v in enumerate(scaled, start=1)},
+            "coupling_bounds": {f"p{p}": {"min": float(v.min()), "max": float(v.max()),
+                                          "lower": float(lo)}
+                                for p, (v, lo) in enumerate(zip(scaled, lower), start=1)},
             "gram_min_eig": float(eigs[0]), "gram_max_eig": float(eigs[-1]),
             "orthogonality_worst_pair": [int(worst[0]) + 1, int(worst[1]) + 1],
             "all_ok": all(c["ok"] for c in checks.values())}

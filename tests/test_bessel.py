@@ -143,15 +143,47 @@ class TestZeroTable:
             assert np.all(np.abs(tab.row(nu) - ref) <= ulps * np.spacing(ref)), nu
 
     def test_bracket_without_sign_change(self, monkeypatch):
-        # |J_1| above 8 leaves the bracket (j_{0,3}, j_{0,4}) of j_{1,3},
-        # and every later one, without a sign change
-        def jv(nu, x):
-            out = special.jv(nu, x)
-            return np.where(x > 8.0, np.abs(out), out) if nu == 1 else out
+        # |J_nu| above 8 leaves the third bracket of row nu, and every later
+        # one, without a sign change: (beta_3, beta_4) = (2.75 pi, 3.75 pi)
+        # for j_{0,3}, and (j_{0,3}, j_{0,4}) for j_{1,3}
+        for nu in (0, 1):
+            def jv(order, x):
+                out = special.jv(order, x)
+                return np.where(x > 8.0, np.abs(out), out) if order == nu else out
 
+            monkeypatch.setattr(bessel, "special", SimpleNamespace(jv=jv))
+            with pytest.raises(ConvergenceError, match=rf"j_\({nu},3\).*sign"):
+                compute_zeros(1, 5)
+
+    def test_each_bracket_end_evaluated_once(self, monkeypatch):
+        # a row's first J_nu call takes all n + 1 ends of its n brackets, in
+        # increasing order: beta_k = (k - 1/4) pi closed by beta_{n0} + pi/8
+        # for row 0, the zeros of row nu - 1 for row nu >= 1
+        nu_max, k_max = 3, 10
+        first, row = {}, []
+        refine = bessel._refine_row
+
+        def refine_row(nu, *args):
+            row.append(nu)
+            return refine(nu, *args)
+
+        def jv(order, x):
+            if order == row[-1] and order not in first:
+                first[order] = np.array(x, copy=True)
+            return special.jv(order, x)
+
+        monkeypatch.setattr(bessel, "_refine_row", refine_row)
         monkeypatch.setattr(bessel, "special", SimpleNamespace(jv=jv))
-        with pytest.raises(ConvergenceError, match=r"j_\(1,3\).*sign"):
-            compute_zeros(1, 5)
+        tab = compute_zeros(nu_max, k_max)
+        n0 = k_max + nu_max
+        beta = (np.arange(1, n0 + 1) - 0.25) * np.pi
+        assert np.array_equal(first[0], np.append(beta, beta[-1] + np.pi / 8))
+        for nu in range(1, nu_max + 1):
+            ends = first[nu]
+            assert ends.size == n0 - nu + 1, nu
+            assert np.array_equal(ends[:k_max], tab.row(nu - 1)), nu
+        for ends in first.values():
+            assert np.all(np.diff(ends) > 0)
 
     def test_strictly_increasing_and_interlaced(self, table):
         for nu in range(table.nu_max + 1):

@@ -191,6 +191,26 @@ def test_verify_detects_corrupt_table(tmp_path, shift):
     assert not report["checks"]["zero_residual"]["ok"]
 
 
+def test_verify_coupling_bounds_detect_misordered_zero(tmp_path):
+    # j_{0,5} set below j_{0,4} lifts s_p(5) = j_5^3 |M_p5| above s_p(4),
+    # out of the uniform bounds [8 j_{0,p}, s_p(4)]
+    tab = compute_zeros(0, 12)
+    table = tmp_path / "zeros.json"
+    tab.to_json(table)
+    payload = json.loads(table.read_text())
+    assert (payload["zeros"][4]["nu"], payload["zeros"][4]["k"]) == (0, 5)
+    payload["zeros"][4]["value"] = tab[(0, 4)] - 0.5
+    table.write_text(json.dumps(payload))
+    out = tmp_path / "v"
+    assert main(["verify", "--table", str(table), "--out", str(out)]) == EXIT_VERIFY
+    report = json.loads((out / "verify_report.json").read_text())
+    bounds = report["checks"]["coupling_bounds"]
+    # the lower margin stays positive: the upper bound s_p(4) catches it
+    assert not bounds["ok"] and bounds["value"] > 0
+    for p in (1, 2, 3):
+        assert report["coupling_bounds"][f"p{p}"]["lower"] == 8 * tab.row(0)[p - 1]
+
+
 def test_synthesize_requires_target(tmp_path):
     assert main(["synthesize", "--out", str(tmp_path)]) == EXIT_USAGE
 
